@@ -43,7 +43,6 @@ from .numlin import (
     nullspace,
     random_haar_unitary,
     random_unit_vector,
-    span_try_add,
 )
 from .posmap import (
     MapRep,

@@ -142,18 +142,19 @@ def _pair_indices(lam: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return pairs
 
 
-def _select_representative(lam: np.ndarray, i: int, j: int) -> tuple[float, int]:
-    """Pick the pair member whose block phase alpha = arg(-i lam) falls in
-    the half-open window [-_SNAP, pi - _SNAP).
+def _select_representative(phases: np.ndarray, i: int, j: int) -> tuple[float, int]:
+    """Pick the pair member whose phase, taken mod 2 pi, falls in the
+    half-open window [-_SNAP, pi - _SNAP); return (phase clamped at 0, index).
 
     Exactly one member qualifies except for jitter straddling the window
     edge; the guard band keeps exactly degenerate +/-i spectra on one side,
     which is what makes the assembled R orthogonal (selected eigenvectors
-    then never contain a conjugate pair across blocks).
+    then never contain a conjugate pair across blocks).  Ties go to i, the
+    smaller index as _pair_indices returns it.
     """
     cand = []
     for k in (i, j):
-        a = float(np.angle(-1j * lam[k]) % TWO_PI)
+        a = float(phases[k] % TWO_PI)
         if a >= TWO_PI - _SNAP:
             a -= TWO_PI
         cand.append((a, k))
@@ -176,7 +177,9 @@ def canonical_decompose(u, tol: float = 1e-8) -> CanonicalForm:
     m = u.matrix
     n = u.n
     lam, w = np.linalg.eig(m)
-    reps = [_select_representative(lam, i, j) for i, j in _pair_indices(lam, tol)]
+    phases = np.angle(-1j * lam)  # block phase alpha of each eigenvalue
+    reps = [_select_representative(phases, i, j)
+            for i, j in _pair_indices(lam, tol)]
     reps.sort(key=lambda t: t[0])
     # QR keeps each column inside its own (possibly degenerate) eigenspace
     # because same-phase columns are adjacent after the sort and distinct
@@ -207,16 +210,7 @@ def eigenphase_pairs(u, tol: float = 1e-8) -> list[tuple[float, float]]:
     if not isinstance(u, AntisymmetricUnitary):
         u = certify_antisymmetric_unitary(u)
     lam = np.linalg.eigvals(u.matrix)
-    out = []
-    for i, j in _pair_indices(lam, tol):
-        cand = []
-        for k in (i, j):
-            b = float(np.angle(lam[k]) % TWO_PI)
-            if b >= TWO_PI - _SNAP:
-                b -= TWO_PI
-            cand.append(b)
-        inside = [b for b in cand if b < np.pi - _SNAP]
-        b = min(inside) if inside else min(cand)
-        b = max(b, 0.0)
-        out.append((b, b + np.pi))
-    return sorted(out)
+    phases = np.angle(lam)
+    betas = [_select_representative(phases, i, j)[0]
+             for i, j in _pair_indices(lam, tol)]
+    return sorted((b, b + np.pi) for b in betas)

@@ -15,19 +15,10 @@ import time
 
 import numpy as np
 
-from . import antisym, commutant, matio, posmap, reports, witness
+from . import antisym, commutant, matio, numlin, posmap, reports, witness
 from .errors import ToolkitError
 from .numlin import DEFAULT_TOLS, Tolerances, make_rng
 from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
-
-
-def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
-    if text is None:
-        return list(default)
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ToolkitError(f"bad n list {text!r}") from exc
 
 
 def _span_status(rep: witness.SpanReport, expect_dim: int) -> str:
@@ -39,78 +30,46 @@ def _span_status(rep: witness.SpanReport, expect_dim: int) -> str:
     return FAIL
 
 
-def check_example1_transpose(seed: int, n_arg, budget) -> VerificationReport:
-    """Rank of the six transposition kernel triples (corrected last y).
+def _family_rank_check(family: str, expect: int, printed: str | None = None,
+                       count: int | None = None):
+    """Runner for the rank of a published kernel-pair family.
 
-    The rank of the list with the last y as printed is reported alongside
-    for reference; only the corrected family carries the expectation.
+    printed names a variant of the family (Example 1's list with the last y
+    as printed) whose rank is reported alongside without an expectation;
+    count, when given, is reported as the size of the family.
     """
-    from .numlin import family_rank
-
-    rank = family_rank(witness.paper_family("example1"))
-    printed = family_rank(witness.paper_family("example1-printed"))
-    return VerificationReport(
-        check_name="example1-transpose",
-        status=PASS if rank == 6 else FAIL,
-        measured={"rank": rank, "printed_variant_rank": printed},
-        expected={"rank": 6},
-        tolerances={"rank": DEFAULT_TOLS.rank},
-        seed=seed)
-
-
-def check_example2_reduction(seed: int, n_arg, budget) -> VerificationReport:
-    from .numlin import family_rank
-
-    rank = family_rank(witness.paper_family("example2"))
-    return VerificationReport(
-        check_name="example2-reduction",
-        status=PASS if rank == 6 else FAIL,
-        measured={"rank": rank},
-        expected={"rank": 6},
-        tolerances={"rank": DEFAULT_TOLS.rank},
-        seed=seed)
+    def run(seed, ns, budget):
+        rank = numlin.family_rank(witness.paper_family(family))
+        measured = {"rank": rank}
+        if printed is not None:
+            measured["printed_variant_rank"] = numlin.family_rank(
+                witness.paper_family(printed))
+        if count is not None:
+            measured["count"] = count
+        return (PASS if rank == expect else FAIL, measured, {"rank": expect},
+                {"rank": DEFAULT_TOLS.rank})
+    return run
 
 
-def check_prop3_robertson_60(seed: int, n_arg, budget) -> VerificationReport:
-    from .numlin import family_rank
-
-    rank = family_rank(witness.paper_family("prop3"))
-    return VerificationReport(
-        check_name="prop3-robertson-60",
-        status=PASS if rank == 60 else FAIL,
-        measured={"rank": rank, "count": 60},
-        expected={"rank": 60},
-        tolerances={"rank": DEFAULT_TOLS.rank},
-        seed=seed)
-
-
-def check_robertson_irreducible(seed: int, n_arg, budget) -> VerificationReport:
+def _robertson_irreducible(seed, ns, budget):
     res = commutant.commutant_of_range(posmap.robertson_map())
-    return VerificationReport(
-        check_name="robertson-irreducible",
-        status=PASS if res.dim == 1 else FAIL,
-        measured={"commutant_dim": res.dim,
-                  "contains_identity": res.contains_identity},
-        expected={"commutant_dim": 1},
-        tolerances={"rank": DEFAULT_TOLS.rank},
-        seed=seed)
+    return (PASS if res.dim == 1 else FAIL,
+            {"commutant_dim": res.dim,
+             "contains_identity": res.contains_identity},
+            {"commutant_dim": 1}, {"rank": DEFAULT_TOLS.rank})
 
 
-def check_robertson_strong_spanning(seed: int, n_arg, budget) -> VerificationReport:
+def _robertson_strong_spanning(seed, ns, budget):
     ok, rep = witness.strong_spanning_check(posmap.robertson_map(),
                                             budget=budget, seed=seed)
-    return VerificationReport(
-        check_name="robertson-strong-spanning",
-        status=_span_status(rep, rep.target_dim),
-        measured={"achieved_dim": rep.achieved_dim,
-                  "samples_used": rep.samples_used,
-                  "saturated": rep.saturated},
-        expected={"achieved_dim": rep.target_dim},
-        tolerances=rep.tolerances,
-        seed=seed)
+    return (_span_status(rep, rep.target_dim),
+            {"achieved_dim": rep.achieved_dim,
+             "samples_used": rep.samples_used,
+             "saturated": rep.saturated},
+            {"achieved_dim": rep.target_dim}, rep.tolerances)
 
 
-def check_bh_random_exposed(seed: int, n_arg, budget) -> VerificationReport:
+def _bh_random_exposed(seed, ns, budget):
     """Random Breuer-Hall map: unitality, irreducibility, N-dimension.
 
     The N-dimension is compared against the closed-form count; only at n=4
@@ -118,7 +77,7 @@ def check_bh_random_exposed(seed: int, n_arg, budget) -> VerificationReport:
     matching dimension is reported INCONCLUSIVE (the exposedness criterion
     is silent there), while a mismatched saturated dimension is a FAIL.
     """
-    n = _parse_n_list(n_arg, [4])[0]
+    n = ns[0]
     u = antisym.random_antisymmetric_unitary(make_rng(seed), n)
     phi = posmap.breuer_hall(u)
     unital = float(np.abs(phi.apply(np.eye(n)) - np.eye(n)).max())
@@ -130,26 +89,23 @@ def check_bh_random_exposed(seed: int, n_arg, budget) -> VerificationReport:
         status = INCONCLUSIVE
     if not irred or unital > 1e-12:
         status = FAIL
-    return VerificationReport(
-        check_name="bh-random-exposed",
-        status=status,
-        measured={"n": n, "unital_residual": unital, "irreducible": irred,
-                  "achieved_dim": rep.achieved_dim,
-                  "strong_spanning_target": rep.target_dim,
-                  "saturated": rep.saturated},
-        expected={"achieved_dim": expect, "irreducible": True,
-                  "unital_residual": 0.0},
-        tolerances=rep.tolerances | {"unital": 1e-12},
-        seed=seed)
+    return (status,
+            {"n": n, "unital_residual": unital, "irreducible": irred,
+             "achieved_dim": rep.achieved_dim,
+             "strong_spanning_target": rep.target_dim,
+             "saturated": rep.saturated},
+            {"achieved_dim": expect, "irreducible": True,
+             "unital_residual": 0.0},
+            rep.tolerances | {"unital": 1e-12})
 
 
-def check_reduction_n_fails(seed: int, n_arg, budget) -> VerificationReport:
+def _reduction_n_fails(seed, ns, budget):
     """Strong spanning must fall short for the reduction map beyond n=2.
 
     The generators x (x) xbar (x) x only fill a space of dimension
     n^2 (n+1) / 2, strictly below the (n^2 - 1) n target for n >= 3.
     """
-    n = _parse_n_list(n_arg, [3])[0]
+    n = ns[0]
     if n < 3:
         raise ToolkitError("reduction-n-fails needs --n >= 3")
     rep = witness.estimate_N_dim(posmap.reduction_map(n), budget=budget,
@@ -158,20 +114,15 @@ def check_reduction_n_fails(seed: int, n_arg, budget) -> VerificationReport:
     status = _span_status(rep, expect)
     if status == PASS and not rep.achieved_dim < rep.target_dim:
         status = FAIL  # would mean the formula and the target coincide
-    return VerificationReport(
-        check_name="reduction-n-fails",
-        status=status,
-        measured={"n": n, "achieved_dim": rep.achieved_dim,
-                  "target_dim": rep.target_dim, "saturated": rep.saturated},
-        expected={"achieved_dim": expect,
-                  "below_target": True},
-        tolerances=rep.tolerances,
-        seed=seed)
+    return (status,
+            {"n": n, "achieved_dim": rep.achieved_dim,
+             "target_dim": rep.target_dim, "saturated": rep.saturated},
+            {"achieved_dim": expect, "below_target": True},
+            rep.tolerances)
 
 
-def check_dn_table(seed: int, n_arg, budget) -> VerificationReport:
+def _dn_table(seed, ns, budget):
     """Measured N-dimension of random Breuer-Hall maps against the closed form."""
-    ns = _parse_n_list(n_arg, [4, 6, 8])
     rng = make_rng(seed)
     rows = []
     ok = True
@@ -182,18 +133,12 @@ def check_dn_table(seed: int, n_arg, budget) -> VerificationReport:
         formula = witness.dn_formula(n)
         rows.append([n, formula, witness.dn_bound(n), rep.achieved_dim])
         ok = ok and rep.saturated and rep.achieved_dim == formula
-    return VerificationReport(
-        check_name="dn-table",
-        status=PASS if ok else FAIL,
-        measured={"rows": rows},
-        expected={"measured_equals_Dn": True},
-        tolerances={"rank": DEFAULT_TOLS.rank},
-        seed=seed)
+    return (PASS if ok else FAIL, {"rows": rows},
+            {"measured_equals_Dn": True}, {"rank": DEFAULT_TOLS.rank})
 
 
-def check_canonical_form_roundtrip(seed: int, n_arg, budget) -> VerificationReport:
+def _canonical_form_roundtrip(seed, ns, budget):
     """Decompose random antisymmetric unitaries and reconstruct."""
-    ns = _parse_n_list(n_arg, [4, 6, 8])
     rng = make_rng(seed)
     worst = 0.0
     count = 0
@@ -207,18 +152,13 @@ def check_canonical_form_roundtrip(seed: int, n_arg, budget) -> VerificationRepo
         ref = antisym.canonical_decompose(antisym.u0(n))
         worst_alpha = max(abs(a) for a in ref.alphas)
         worst = max(worst, worst_alpha)
-    return VerificationReport(
-        check_name="canonical-form-roundtrip",
-        status=PASS if worst <= 1e-8 else FAIL,
-        measured={"max_residual": worst, "decompositions": count},
-        expected={"max_residual": 0.0},
-        tolerances={"reconstruction": 1e-8},
-        seed=seed)
+    return (PASS if worst <= 1e-8 else FAIL,
+            {"max_residual": worst, "decompositions": count},
+            {"max_residual": 0.0}, {"reconstruction": 1e-8})
 
 
-def check_positivity_sample(seed: int, n_arg, budget) -> VerificationReport:
-    """Sampled positivity of random Breuer-Hall maps at n = 4 and 6."""
-    ns = _parse_n_list(n_arg, [4, 6])
+def _positivity_sample(seed, ns, budget):
+    """Sampled positivity of random Breuer-Hall maps, by default at n = 4 and 6."""
     rng = make_rng(seed)
     measured = {}
     ok = True
@@ -228,27 +168,46 @@ def check_positivity_sample(seed: int, n_arg, budget) -> VerificationReport:
                                             trials=10_000, seed=seed)
         measured[f"min_value_n{n}"] = res.min_value
         ok = ok and res.min_value >= -DEFAULT_TOLS.kernel
-    return VerificationReport(
-        check_name="positivity-sample",
-        status=PASS if ok else FAIL,
-        measured=measured | {"trials": 10_000},
-        expected={"min_value": ">= -1e-10"},
-        tolerances={"kernel": DEFAULT_TOLS.kernel},
-        seed=seed)
+    return (PASS if ok else FAIL, measured | {"trials": 10_000},
+            {"min_value": ">= -1e-10"}, {"kernel": DEFAULT_TOLS.kernel})
 
 
+# check name -> (runner, default --n).  A runner maps (seed, ns, budget) to
+# (status, measured, expected, tolerances); ns is () for checks that ignore --n.
 CHECKS = {
-    "example1-transpose": check_example1_transpose,
-    "example2-reduction": check_example2_reduction,
-    "prop3-robertson-60": check_prop3_robertson_60,
-    "robertson-irreducible": check_robertson_irreducible,
-    "robertson-strong-spanning": check_robertson_strong_spanning,
-    "bh-random-exposed": check_bh_random_exposed,
-    "reduction-n-fails": check_reduction_n_fails,
-    "dn-table": check_dn_table,
-    "canonical-form-roundtrip": check_canonical_form_roundtrip,
-    "positivity-sample": check_positivity_sample,
+    "example1-transpose": (
+        _family_rank_check("example1", 6, printed="example1-printed"), ()),
+    "example2-reduction": (_family_rank_check("example2", 6), ()),
+    "prop3-robertson-60": (_family_rank_check("prop3", 60, count=60), ()),
+    "robertson-irreducible": (_robertson_irreducible, ()),
+    "robertson-strong-spanning": (_robertson_strong_spanning, ()),
+    "bh-random-exposed": (_bh_random_exposed, (4,)),
+    "reduction-n-fails": (_reduction_n_fails, (3,)),
+    "dn-table": (_dn_table, (4, 6, 8)),
+    "canonical-form-roundtrip": (_canonical_form_roundtrip, (4, 6, 8)),
+    "positivity-sample": (_positivity_sample, (4, 6)),
 }
+
+
+def run_check(name: str, seed: int, n_arg: str | None,
+              budget: int | None) -> VerificationReport:
+    """Run one named check and wrap its outcome in a report.
+
+    --n is parsed only for checks that read it.  There an explicit list with
+    no entries is a usage error: running such a check over nothing would
+    report a PASS that checked nothing.
+    """
+    runner, ns = CHECKS[name]
+    if ns and n_arg is not None:
+        try:
+            ns = tuple(int(tok) for tok in n_arg.split(",") if tok.strip())
+        except ValueError as exc:
+            raise ToolkitError(f"bad n list {n_arg!r}") from exc
+        if not ns:
+            raise ToolkitError(f"{name} needs at least one --n value")
+    status, measured, expected, tolerances = runner(seed, ns, budget)
+    return VerificationReport(name, status, measured, expected, tolerances,
+                              seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +296,7 @@ def _cmd_verify(args) -> int:
     out = []
     for name in names:
         t0 = time.perf_counter()
-        out.append(CHECKS[name](seed, args.n_arg, args.budget))
+        out.append(run_check(name, seed, args.n_arg, args.budget))
         if args.timings:
             ms = (time.perf_counter() - t0) * 1000.0
             print(f"{name}: {ms:.1f} ms", file=sys.stderr)

@@ -65,15 +65,9 @@ def commutant_of_range(phi: MapRep, tol: float = DEFAULT_TOLS.rank,
 
 
 def is_irreducible(phi: MapRep, tol: float = DEFAULT_TOLS.rank) -> bool:
-    """True iff the commutant of the range is one-dimensional."""
-    res = commutant_of_range(phi, tol)
-    if res.dim == 1:
-        n = phi.n
-        vi = np.eye(n, dtype=np.complex128).ravel() / np.sqrt(n)
-        b = res.basis[:, 0]
-        overlap = vi.conj() @ b
-        if np.linalg.norm(b - overlap * vi) > 1e-8:
-            raise InconsistentResult(
-                "one-dimensional commutant whose basis is not the identity")
-        return True
-    return False
+    """True iff the commutant of the range is one-dimensional.
+
+    commutant_of_range has already checked that the identity lies in the
+    commutant, so a one-dimensional commutant is spanned by it.
+    """
+    return commutant_of_range(phi, tol).dim == 1

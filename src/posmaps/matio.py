@@ -46,8 +46,8 @@ def load_matrix(path) -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except KeyError as exc:
         raise ToolkitError(f"matrix file missing field {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int)
-            and rows > 0 and cols > 0):
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0
+               for v in (rows, cols)):
         raise ToolkitError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise DimensionMismatch(
@@ -56,7 +56,10 @@ def load_matrix(path) -> np.ndarray:
     for k, entry in enumerate(data):
         if (not isinstance(entry, list)) or len(entry) != 2:
             raise ToolkitError(f"entry {k} is not an [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except (TypeError, ValueError) as exc:
+            raise ToolkitError(f"entry {k} is not a pair of numbers") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ToolkitError(f"entry {k} is not finite")
         out[k] = complex(re, im)

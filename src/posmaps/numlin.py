@@ -119,11 +119,6 @@ class SpanAccumulator:
         """Current orthonormal basis, one vector per row (copy)."""
         return self._basis.copy()
 
-    def copy(self) -> "SpanAccumulator":
-        other = SpanAccumulator(self.ambient_dim, self.tol)
-        other._basis = self._basis.copy()
-        return other
-
     def try_add(self, v) -> bool:
         """Add v's new direction if any; return True iff dim grew."""
         from .errors import DimensionMismatch
@@ -142,13 +137,6 @@ class SpanAccumulator:
             return False
         self._basis = np.vstack([self._basis, r / rnorm])
         return True
-
-
-def span_try_add(acc: SpanAccumulator, v):
-    """Pure flavor of SpanAccumulator.try_add: returns (new_acc, added)."""
-    out = acc.copy()
-    added = out.try_add(v)
-    return out, added
 
 
 def make_rng(seed: int | None) -> np.random.Generator:

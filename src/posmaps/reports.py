@@ -4,9 +4,9 @@ Status is PASS, FAIL, or INCONCLUSIVE.  The third value exists because the
 spanning criteria are sufficient only: running out of sampling budget below
 the target dimension is not a refutation and must not be reported as one.
 
-Rendered reports are byte-identical for identical flags and seeds, so the
-runtime_ms field is kept out of the serialized stream (always null there);
-wall-clock timings go to stderr when requested.
+Rendered reports are byte-identical for identical flags and seeds, so they
+carry no wall-clock data: the serialized runtime_ms key is always null, and
+timings go to stderr when requested.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class VerificationReport:
     expected: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     seed: int | None = None
-    runtime_ms: float | None = None
 
     def __post_init__(self):
         if self.status not in _STATUSES:
@@ -50,8 +49,7 @@ class VerificationReport:
     def from_dict(cls, d: dict) -> "VerificationReport":
         return cls(check_name=d["check_name"], status=d["status"],
                    measured=d["measured"], expected=d["expected"],
-                   tolerances=d["tolerances"], seed=d["seed"],
-                   runtime_ms=d.get("runtime_ms"))
+                   tolerances=d["tolerances"], seed=d["seed"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

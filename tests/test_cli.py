@@ -122,6 +122,15 @@ class TestVerify:
         assert code == 2
         assert "n >= 3" in err
 
+    @pytest.mark.parametrize("check", ["bh-random-exposed", "reduction-n-fails",
+                                       "dn-table", "canonical-form-roundtrip",
+                                       "positivity-sample"])
+    def test_empty_n_list_is_usage_error(self, capsys, check):
+        code, out, err = run(capsys, "verify", check, "--n", ",")
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestSpan:
     def test_transpose_N(self, capsys):
@@ -207,8 +216,11 @@ class TestMapExport:
 
     def test_non_matrix_file_rejected(self, capsys, tmp_path):
         p = tmp_path / "junk.json"
-        p.write_text("{}")
-        assert run(capsys, "span", "--map", f"file:{p}")[0] == 2
+        for text in ("{}", '{"rows": 1, "cols": 1, "data": [[null, 0]]}'):
+            p.write_text(text)
+            code, _, err = run(capsys, "span", "--map", f"file:{p}")
+            assert code == 2
+            assert err.startswith("error:")
 
 
 class TestEntryPoints:
@@ -235,10 +247,10 @@ class TestReports:
 
     def test_json_roundtrip_drops_runtime(self):
         r = VerificationReport(check_name="x", status=PASS,
-                               measured={"a": 1}, seed=3, runtime_ms=12.5)
+                               measured={"a": 1}, seed=3)
+        assert r.to_dict()["runtime_ms"] is None
         rt = VerificationReport.from_json(r.to_json())
-        assert rt.runtime_ms is None
-        assert rt.check_name == "x" and rt.measured == {"a": 1} and rt.seed == 3
+        assert rt == r
 
     def test_render_text_shape(self):
         r = VerificationReport(check_name="demo", status=FAIL,

@@ -14,7 +14,6 @@ from posmaps import (
     nullspace,
     random_haar_unitary,
     random_unit_vector,
-    span_try_add,
 )
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -137,12 +136,6 @@ class TestSpanAccumulator:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             SpanAccumulator(3).try_add(np.ones(4))
-
-    def test_pure_variant_leaves_input_alone(self):
-        acc = SpanAccumulator(2)
-        acc.try_add([1.0, 0.0])
-        out, added = span_try_add(acc, [0.0, 1.0])
-        assert added and out.dim == 2 and acc.dim == 1
 
     def test_basis_orthonormal(self):
         rng = make_rng(4)
