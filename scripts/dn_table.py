@@ -4,7 +4,8 @@
 For each even n the script draws U = V u0 V^T with Haar V, runs the
 randomized strong-spanning estimator, and reports the achieved dimension
 next to the closed form n(n+1)(5n-2)/6 and the (n^2-1)n target bound.
-Writes CSV to stdout or --out.
+Writes CSV to stdout or --out.  Exits 1 only when a saturated run misses
+the closed form; a run that stops by budget proves nothing either way.
 """
 
 import argparse
@@ -20,6 +21,9 @@ from posmaps import (
     make_rng,
     random_antisymmetric_unitary,
 )
+from posmaps.reports import FAIL, INCONCLUSIVE, PASS
+
+LABELS = {PASS: "ok", INCONCLUSIVE: "inconclusive", FAIL: "MISMATCH"}
 
 
 def parse_args(argv=None):
@@ -38,7 +42,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     ns = [int(tok) for tok in args.n.split(",") if tok.strip()]
     rng = make_rng(args.seed)
-    rows = []
+    rows, verdicts = [], []
     for n in ns:
         phi = breuer_hall(random_antisymmetric_unitary(rng, n))
         t0 = time.perf_counter()
@@ -53,9 +57,9 @@ def main(argv=None) -> int:
             "samples": rep.samples_used,
             "seconds": f"{dt:.3f}",
         })
-        match = "ok" if rep.achieved_dim == dn_formula(n) and rep.saturated else "MISMATCH"
+        verdicts.append(rep.verdict(dn_formula(n)))
         print(f"n={n}: measured {rep.achieved_dim} vs formula {dn_formula(n)} "
-              f"(bound {dn_bound(n)}) [{match}] {dt:.2f}s", file=sys.stderr)
+              f"(bound {dn_bound(n)}) [{LABELS[verdicts[-1]]}] {dt:.2f}s", file=sys.stderr)
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.DictWriter(sink, fieldnames=list(rows[0]))
@@ -64,8 +68,7 @@ def main(argv=None) -> int:
     finally:
         if args.out:
             sink.close()
-    bad = [r for r in rows if not (r["measured"] == r["Dn"] and r["saturated"])]
-    return 1 if bad else 0
+    return 1 if FAIL in verdicts else 0
 
 
 if __name__ == "__main__":

@@ -76,8 +76,6 @@ from .witness import (
     kernel_pairs,
     paper_family,
     paper_family_pairs,
-    spanning_check,
-    strong_spanning_check,
     unitary_covariance_check,
 )
 

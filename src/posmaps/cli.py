@@ -21,15 +21,6 @@ from .numlin import DEFAULT_TOLS, Tolerances, make_rng
 from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 
-def _span_status(rep: witness.SpanReport, expect_dim: int) -> str:
-    """Three-valued verdict for a span run against an expected dimension."""
-    if rep.achieved_dim == expect_dim and rep.saturated:
-        return PASS
-    if not rep.saturated:
-        return INCONCLUSIVE
-    return FAIL
-
-
 def _family_rank_check(family: str, expect: int, printed: str | None = None,
                        count: int | None = None):
     """Runner for the rank of a published kernel-pair family.
@@ -60,16 +51,16 @@ def _robertson_irreducible(seed, ns, budget):
 
 
 def _robertson_strong_spanning(seed, ns, budget):
-    ok, rep = witness.strong_spanning_check(posmap.robertson_map(),
-                                            budget=budget, seed=seed)
-    return (_span_status(rep, rep.target_dim),
+    rep = witness.estimate_N_dim(posmap.robertson_map(), budget=budget,
+                                 seed=seed)
+    return (rep.verdict(rep.target_dim),
             {"achieved_dim": rep.achieved_dim,
              "samples_used": rep.samples_used,
              "saturated": rep.saturated},
             {"achieved_dim": rep.target_dim}, rep.tolerances)
 
 
-def _bh_random_exposed(seed, ns, budget):
+def _bh_random_exposed(seed, n, budget):
     """Random Breuer-Hall map: unitality, irreducibility, N-dimension.
 
     The N-dimension is compared against the closed-form count; only at n=4
@@ -77,14 +68,13 @@ def _bh_random_exposed(seed, ns, budget):
     matching dimension is reported INCONCLUSIVE (the exposedness criterion
     is silent there), while a mismatched saturated dimension is a FAIL.
     """
-    n = ns[0]
     u = antisym.random_antisymmetric_unitary(make_rng(seed), n)
     phi = posmap.breuer_hall(u)
     unital = float(np.abs(phi.apply(np.eye(n)) - np.eye(n)).max())
     irred = commutant.is_irreducible(phi)
     rep = witness.estimate_N_dim(phi, budget=budget, seed=seed)
     expect = witness.dn_formula(n)
-    status = _span_status(rep, expect)
+    status = rep.verdict(expect)
     if status == PASS and rep.achieved_dim < rep.target_dim:
         status = INCONCLUSIVE
     if not irred or unital > 1e-12:
@@ -99,22 +89,18 @@ def _bh_random_exposed(seed, ns, budget):
             rep.tolerances | {"unital": 1e-12})
 
 
-def _reduction_n_fails(seed, ns, budget):
+def _reduction_n_fails(seed, n, budget):
     """Strong spanning must fall short for the reduction map beyond n=2.
 
     The generators x (x) xbar (x) x only fill a space of dimension
     n^2 (n+1) / 2, strictly below the (n^2 - 1) n target for n >= 3.
     """
-    n = ns[0]
     if n < 3:
         raise ToolkitError("reduction-n-fails needs --n >= 3")
     rep = witness.estimate_N_dim(posmap.reduction_map(n), budget=budget,
                                  seed=seed)
     expect = n * n * (n + 1) // 2
-    status = _span_status(rep, expect)
-    if status == PASS and not rep.achieved_dim < rep.target_dim:
-        status = FAIL  # would mean the formula and the target coincide
-    return (status,
+    return (rep.verdict(expect),
             {"n": n, "achieved_dim": rep.achieved_dim,
              "target_dim": rep.target_dim, "saturated": rep.saturated},
             {"achieved_dim": expect, "below_target": True},
@@ -124,16 +110,15 @@ def _reduction_n_fails(seed, ns, budget):
 def _dn_table(seed, ns, budget):
     """Measured N-dimension of random Breuer-Hall maps against the closed form."""
     rng = make_rng(seed)
-    rows = []
-    ok = True
+    rows, statuses = [], []
     for n in ns:
         u = antisym.random_antisymmetric_unitary(rng, n)
         rep = witness.estimate_N_dim(posmap.breuer_hall(u), budget=budget,
                                      seed=seed)
         formula = witness.dn_formula(n)
         rows.append([n, formula, witness.dn_bound(n), rep.achieved_dim])
-        ok = ok and rep.saturated and rep.achieved_dim == formula
-    return (PASS if ok else FAIL, {"rows": rows},
+        statuses.append(rep.verdict(formula))
+    return (reports.worst(statuses), {"rows": rows},
             {"measured_equals_Dn": True}, {"rank": DEFAULT_TOLS.rank})
 
 
@@ -173,7 +158,8 @@ def _positivity_sample(seed, ns, budget):
 
 
 # check name -> (runner, default --n).  A runner maps (seed, ns, budget) to
-# (status, measured, expected, tolerances); ns is () for checks that ignore --n.
+# (status, measured, expected, tolerances).  ns is () for checks that ignore
+# --n, and a single int for checks that take exactly one value.
 CHECKS = {
     "example1-transpose": (
         _family_rank_check("example1", 6, printed="example1-printed"), ()),
@@ -181,8 +167,8 @@ CHECKS = {
     "prop3-robertson-60": (_family_rank_check("prop3", 60, count=60), ()),
     "robertson-irreducible": (_robertson_irreducible, ()),
     "robertson-strong-spanning": (_robertson_strong_spanning, ()),
-    "bh-random-exposed": (_bh_random_exposed, (4,)),
-    "reduction-n-fails": (_reduction_n_fails, (3,)),
+    "bh-random-exposed": (_bh_random_exposed, 4),
+    "reduction-n-fails": (_reduction_n_fails, 3),
     "dn-table": (_dn_table, (4, 6, 8)),
     "canonical-form-roundtrip": (_canonical_form_roundtrip, (4, 6, 8)),
     "positivity-sample": (_positivity_sample, (4, 6)),
@@ -195,16 +181,23 @@ def run_check(name: str, seed: int, n_arg: str | None,
 
     --n is parsed only for checks that read it.  There an explicit list with
     no entries is a usage error: running such a check over nothing would
-    report a PASS that checked nothing.
+    report a PASS that checked nothing.  So is a list of several values for a
+    check that takes one, which would otherwise check only the first.
     """
     runner, ns = CHECKS[name]
     if ns and n_arg is not None:
         try:
-            ns = tuple(int(tok) for tok in n_arg.split(",") if tok.strip())
+            values = tuple(int(tok) for tok in n_arg.split(",") if tok.strip())
         except ValueError as exc:
             raise ToolkitError(f"bad n list {n_arg!r}") from exc
-        if not ns:
+        if not values:
             raise ToolkitError(f"{name} needs at least one --n value")
+        if isinstance(ns, int):
+            if len(values) > 1:
+                raise ToolkitError(
+                    f"{name} takes exactly one --n value, got {n_arg!r}")
+            values = values[0]
+        ns = values
     status, measured, expected, tolerances = runner(seed, ns, budget)
     return VerificationReport(name, status, measured, expected, tolerances,
                               seed)

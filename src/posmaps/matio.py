@@ -1,8 +1,9 @@
 """Matrix file format: JSON with explicit (re, im) pairs.
 
 Schema: {"rows": int, "cols": int, "data": [[re, im], ...]} with data in
-row-major order.  Non-finite values are rejected on both read and write;
-the reader also refuses the JSON Infinity/NaN literals.
+row-major order and re, im JSON numbers (the reader refuses strings and
+booleans).  Non-finite values are rejected on both read and write; the
+reader also refuses the JSON Infinity/NaN literals.
 """
 
 from __future__ import annotations
@@ -56,10 +57,13 @@ def load_matrix(path) -> np.ndarray:
     for k, entry in enumerate(data):
         if (not isinstance(entry, list)) or len(entry) != 2:
             raise ToolkitError(f"entry {k} is not an [re, im] pair")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in entry):
+            raise ToolkitError(f"entry {k} is not a pair of numbers")
         try:
             re, im = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError) as exc:
-            raise ToolkitError(f"entry {k} is not a pair of numbers") from exc
+        except OverflowError as exc:  # an integer literal beyond float range
+            raise ToolkitError(f"entry {k} is not finite") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ToolkitError(f"entry {k} is not finite")
         out[k] = complex(re, im)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antisym import AntisymmetricUnitary, certify_antisymmetric_unitary, u0
-from .errors import BadDimension, DimensionMismatch, DimensionTooSmall, OddDimension
+from .errors import BadDimension, DimensionMismatch, DimensionTooSmall
 from .numlin import as_cmatrix, make_rng
 
 
@@ -108,8 +108,6 @@ def breuer_hall(u) -> MapRep:
     if not isinstance(u, AntisymmetricUnitary):
         u = certify_antisymmetric_unitary(u)
     n = u.n
-    if n % 2 == 1:  # unreachable after certification; keep the contract explicit
-        raise OddDimension(f"even dimension required, got {n}")
     if n < 4:
         raise DimensionTooSmall(f"normalization 1/(n-2) needs n >= 4, got {n}")
     m = u.matrix

@@ -18,7 +18,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_STATUSES = (PASS, FAIL, INCONCLUSIVE)
+_STATUSES = (PASS, INCONCLUSIVE, FAIL)  # in rising severity
 
 
 @dataclass
@@ -101,10 +101,14 @@ def render_reports(reports: list[VerificationReport], fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def worst(statuses) -> str:
+    """The most severe status: FAIL over INCONCLUSIVE over PASS; PASS if none."""
+    return max(statuses, key=_STATUSES.index, default=PASS)
+
+
 def exit_code(reports: list[VerificationReport], strict: bool = False) -> int:
     """0 all PASS; 1 any FAIL; 3 any INCONCLUSIVE under strict."""
-    if any(r.status == FAIL for r in reports):
+    status = worst(r.status for r in reports)
+    if status == FAIL:
         return 1
-    if strict and any(r.status == INCONCLUSIVE for r in reports):
-        return 3
-    return 0
+    return 3 if strict and status == INCONCLUSIVE else 0

@@ -34,6 +34,7 @@ from .numlin import (
 )
 from .posmap import MapRep, breuer_hall
 from .antisym import random_antisymmetric_unitary, u0
+from .reports import FAIL, INCONCLUSIVE, PASS
 
 # consecutive sample vectors allowed to add no dimension before the
 # estimator declares saturation
@@ -75,6 +76,16 @@ class SpanReport:
             "seed": self.seed,
             "tolerances": dict(self.tolerances),
         }
+
+    def verdict(self, expect_dim: int) -> str:
+        """PASS, FAIL or INCONCLUSIVE for a span expected to saturate at expect_dim.
+
+        A run that stopped by budget proves nothing, whatever it reached.  A
+        saturated run passes at expect_dim and fails anywhere else.
+        """
+        if not self.saturated:
+            return INCONCLUSIVE
+        return PASS if self.achieved_dim == expect_dim else FAIL
 
 
 def kernel_of_state(phi: MapRep, x, tol_kernel: float = DEFAULT_TOLS.kernel) -> np.ndarray:
@@ -171,20 +182,6 @@ def estimate_N_dim(phi: MapRep, budget: int | None = None, seed: int = 0,
                    tols: Tolerances = DEFAULT_TOLS) -> SpanReport:
     """Randomized dimension of span{x (x) xbar (x) y} over kernel pairs."""
     return _estimate(phi, "N", budget, seed, tols)
-
-
-def spanning_check(phi: MapRep, budget: int | None = None, seed: int = 0,
-                   tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, SpanReport]:
-    """True iff the M estimate saturates at the full dimension n^2."""
-    rep = estimate_M_dim(phi, budget, seed, tols)
-    return rep.achieved_dim == rep.target_dim and rep.saturated, rep
-
-
-def strong_spanning_check(phi: MapRep, budget: int | None = None, seed: int = 0,
-                          tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, SpanReport]:
-    """True iff the N estimate saturates at (n^2 - 1) n."""
-    rep = estimate_N_dim(phi, budget, seed, tols)
-    return rep.achieved_dim == rep.target_dim and rep.saturated, rep
 
 
 def _e(n: int, k: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posmaps
 from posmaps import load_matrix, robertson_map, save_matrix, choi
 from posmaps.cli import CHECKS, main
 from posmaps.reports import (
@@ -131,6 +133,25 @@ class TestVerify:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("check", ["bh-random-exposed",
+                                       "reduction-n-fails", "all"])
+    def test_n_list_for_single_n_check_is_usage_error(self, capsys, check):
+        code, out, err = run(capsys, "verify", check, "--n", "4,6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        named = "bh-random-exposed" if check == "all" else check
+        assert named in err
+
+    def test_dn_table_budget_exhaustion_inconclusive(self, capsys):
+        argv = ("verify", "dn-table", "--n", "4", "--budget", "50")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("[INCONCLUSIVE] dn-table")
+        assert '"rows": [[4, 60, 60, 60]]' in out
+        code, _, _ = run(capsys, *argv, "--strict")
+        assert code == 3
+
 
 class TestSpan:
     def test_transpose_N(self, capsys):
@@ -216,7 +237,9 @@ class TestMapExport:
 
     def test_non_matrix_file_rejected(self, capsys, tmp_path):
         p = tmp_path / "junk.json"
-        for text in ("{}", '{"rows": 1, "cols": 1, "data": [[null, 0]]}'):
+        for text in ("{}", '{"rows": 1, "cols": 1, "data": [[null, 0]]}',
+                     '{"rows": 1, "cols": 1, "data": [["1", 0]]}',
+                     '{"rows": 1, "cols": 1, "data": [[true, 0]]}'):
             p.write_text(text)
             code, _, err = run(capsys, "span", "--map", f"file:{p}")
             assert code == 2
@@ -225,9 +248,12 @@ class TestMapExport:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # run from the directory that holds the package under test, so that
+        # `-m` finds it without an install or PYTHONPATH
         proc = subprocess.run(
             [sys.executable, "-m", "posmaps", "verify", "example1-transpose"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            cwd=Path(posmaps.__file__).resolve().parent.parent)
         assert proc.returncode == 0
         assert proc.stdout.startswith("[PASS]")
 

@@ -59,6 +59,8 @@ def test_load_rejects_malformed(tmp_path):
         '{"rows": 1, "cols": 1, "data": [[null, 0]]}',
         '{"rows": 1, "cols": 1, "data": [["a", 0]]}',
         '{"rows": true, "cols": 1, "data": [[0, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [["1.5", true]]}',
+        '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400),
     ):
         with pytest.raises(ToolkitError):
             load_matrix(write(tmp_path, text))

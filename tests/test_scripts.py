@@ -1,0 +1,63 @@
+"""The experiment scripts, run in-process through their main(argv)."""
+
+import csv
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_script(capsys, name, *argv):
+    code = load_script(name).main(list(argv))
+    out = capsys.readouterr().out
+    reader = csv.DictReader(io.StringIO(out))
+    return code, reader.fieldnames, list(reader)
+
+
+@pytest.mark.parametrize("budget, saturated, samples", [
+    (None, "True", "94"),
+    # 50 samples reach the closed form but not the saturation window: the
+    # run proves nothing, so the script must not report a mismatch
+    (50, "False", "50"),
+])
+def test_dn_table(capsys, budget, saturated, samples):
+    argv = ["--n", "4"] + ([] if budget is None else ["--budget", str(budget)])
+    code, header, rows = run_script(capsys, "dn_table", *argv)
+    assert code == 0
+    assert header == ["n", "Dn", "bound", "measured", "saturated", "samples",
+                      "seconds"]
+    assert len(rows) == 1
+    row = rows[0]
+    del row["seconds"]
+    assert row == {"n": "4", "Dn": "60", "bound": "60", "measured": "60",
+                   "saturated": saturated, "samples": samples}
+
+
+@pytest.mark.parametrize("budget, saturated, verdict", [
+    (None, "True", "exposed-certificate"),
+    (50, "False", "inconclusive"),
+])
+def test_bh_exposedness_scan(capsys, budget, saturated, verdict):
+    argv = ["--n", "4", "--draws", "2"]
+    argv += [] if budget is None else ["--budget", str(budget)]
+    code, header, rows = run_script(capsys, "bh_exposedness_scan", *argv)
+    assert code == 0
+    assert header == ["draw", "n", "unital_residual", "irreducible", "N_dim",
+                      "target", "saturated", "verdict", "seconds"]
+    assert [row["draw"] for row in rows] == ["0", "1"]
+    for row in rows:
+        assert float(row["unital_residual"]) <= 1e-12
+        assert {k: row[k] for k in ("n", "irreducible", "N_dim", "target",
+                                    "saturated", "verdict")} == {
+            "n": "4", "irreducible": "True", "N_dim": "60", "target": "60",
+            "saturated": saturated, "verdict": verdict}

@@ -7,6 +7,7 @@ from posmaps import (
     InconsistentResult,
     NonpositiveState,
     SpanAccumulator,
+    SpanReport,
     UnknownFamily,
     breuer_hall,
     dn_bound,
@@ -24,13 +25,12 @@ from posmaps import (
     random_unit_vector,
     reduction_map,
     robertson_map,
-    spanning_check,
-    strong_spanning_check,
     trace_map,
     transpose_map,
     u0,
     unitary_covariance_check,
 )
+from posmaps.reports import FAIL, INCONCLUSIVE, PASS
 
 
 def pair_residual(phi, x, y):
@@ -113,16 +113,30 @@ class TestSpanEstimates:
             assert rep.saturated
 
     def test_checks_are_independent(self):
-        ok_strong, rep_n = strong_spanning_check(reduction_map(2))
-        ok_weak, rep_m = spanning_check(reduction_map(2))
-        assert ok_strong and rep_n.achieved_dim == 6
-        assert not ok_weak and rep_m.achieved_dim == 3
+        rep_n = estimate_N_dim(reduction_map(2))
+        rep_m = estimate_M_dim(reduction_map(2))
+        assert rep_n.verdict(rep_n.target_dim) == PASS and rep_n.achieved_dim == 6
+        assert rep_m.verdict(rep_m.target_dim) == FAIL and rep_m.achieved_dim == 3
 
     def test_robertson_passes_both(self):
-        ok_m, _ = spanning_check(robertson_map())
-        ok_n, rep = strong_spanning_check(robertson_map())
-        assert ok_m and ok_n
+        rep_m = estimate_M_dim(robertson_map())
+        rep = estimate_N_dim(robertson_map())
+        assert rep_m.verdict(rep_m.target_dim) == PASS
+        assert rep.verdict(rep.target_dim) == PASS
         assert rep.target_dim == 60 and rep.ambient_dim == 64
+
+    def test_verdict_rule(self):
+        def report(achieved, saturated):
+            return SpanReport(map_name="m", kind="N", target_dim=6,
+                              ambient_dim=8, achieved_dim=achieved,
+                              samples_used=10, saturated=saturated, seed=0)
+        # saturated: PASS exactly at the expected dimension, FAIL on either side
+        assert report(6, True).verdict(6) == PASS
+        assert report(5, True).verdict(6) == FAIL
+        assert report(7, True).verdict(6) == FAIL
+        # stopped by budget: proves nothing, even at the expected dimension
+        for achieved in (5, 6, 7):
+            assert report(achieved, False).verdict(6) == INCONCLUSIVE
 
     def test_breuer_hall_seed_sweep(self):
         for seed in range(3):
