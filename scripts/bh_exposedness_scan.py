@@ -7,7 +7,8 @@ against the (n^2-1)n target.  At n=4 the target is reached and the
 certificate applies; for larger n the dimension settles at the closed
 form below the target, so the scan reports "short" instead.  A run that
 stops by budget is "inconclusive"; a saturated dimension off the closed form
-is "UNEXPECTED" and makes the script exit 1.
+is "UNEXPECTED" and makes the script exit 1.  A usage error or a rejected
+input, such as an odd n, makes it exit 2.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from posmaps import (
     make_rng,
     random_antisymmetric_unitary,
 )
+from posmaps.errors import ToolkitError
 from posmaps.reports import FAIL, INCONCLUSIVE, PASS
 
 
@@ -35,7 +37,10 @@ def parse_args(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.draws < 1:
+        p.error(f"--draws must be >= 1, got {args.draws}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -44,12 +49,16 @@ def main(argv=None) -> int:
     rng = make_rng(args.seed)
     rows = []
     for k in range(args.draws):
-        phi = breuer_hall(random_antisymmetric_unitary(rng, n))
-        unital = float(np.abs(phi.apply(np.eye(n)) - np.eye(n)).max())
-        t0 = time.perf_counter()
-        irred = is_irreducible(phi)
-        rep = estimate_N_dim(phi, budget=args.budget, seed=args.seed + k)
-        dt = time.perf_counter() - t0
+        try:
+            phi = breuer_hall(random_antisymmetric_unitary(rng, n))
+            unital = float(np.abs(phi.apply(np.eye(n)) - np.eye(n)).max())
+            t0 = time.perf_counter()
+            irred = is_irreducible(phi)
+            rep = estimate_N_dim(phi, budget=args.budget, seed=args.seed + k)
+            dt = time.perf_counter() - t0
+        except ToolkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         # PASS: saturated at the closed form, which reaches the target at n=4 only
         certified = rep.achieved_dim == rep.target_dim and irred and unital <= 1e-12
         verdict = {PASS: "exposed-certificate" if certified else "short",

@@ -6,6 +6,7 @@ randomized strong-spanning estimator, and reports the achieved dimension
 next to the closed form n(n+1)(5n-2)/6 and the (n^2-1)n target bound.
 Writes CSV to stdout or --out.  Exits 1 only when a saturated run misses
 the closed form; a run that stops by budget proves nothing either way.
+Exits 2 on a usage error or a rejected input, such as an odd n.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from posmaps import (
     make_rng,
     random_antisymmetric_unitary,
 )
+from posmaps.errors import ToolkitError
 from posmaps.reports import FAIL, INCONCLUSIVE, PASS
 
 LABELS = {PASS: "ok", INCONCLUSIVE: "inconclusive", FAIL: "MISMATCH"}
@@ -30,24 +32,34 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--n", default="4,6,8",
                    help="comma-separated even dimensions (default 4,6,8; "
-                        "n=10 takes a few seconds)")
+                        "n=12 takes a few seconds)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None,
                    help="max sample vectors per run (default 10 n^3)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    try:
+        args.n = [int(tok) for tok in args.n.split(",") if tok.strip()]
+    except ValueError:
+        p.error(f"bad --n list {args.n!r}")
+    if not args.n:
+        p.error("--n needs at least one dimension")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    ns = [int(tok) for tok in args.n.split(",") if tok.strip()]
     rng = make_rng(args.seed)
     rows, verdicts = [], []
-    for n in ns:
-        phi = breuer_hall(random_antisymmetric_unitary(rng, n))
-        t0 = time.perf_counter()
-        rep = estimate_N_dim(phi, budget=args.budget, seed=args.seed)
-        dt = time.perf_counter() - t0
+    for n in args.n:
+        try:
+            phi = breuer_hall(random_antisymmetric_unitary(rng, n))
+            t0 = time.perf_counter()
+            rep = estimate_N_dim(phi, budget=args.budget, seed=args.seed)
+            dt = time.perf_counter() - t0
+        except ToolkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         rows.append({
             "n": n,
             "Dn": dn_formula(n),

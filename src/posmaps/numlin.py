@@ -73,7 +73,11 @@ def nullspace(m, tol: float = DEFAULT_TOLS.rank) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.complex128)
     if rows == 0 or not np.any(m):
         return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
+    # A tall system needs only the thin factor, whose vh is already
+    # cols x cols; the full one would add an unused rows x rows U.  A wide
+    # system needs the full vh: its last cols - rows rows are kernel
+    # directions the thin factor drops.
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     rank = int(np.sum(s > tol * s[0]))
     return vh[rank:].conj().T
 
@@ -99,6 +103,9 @@ class SpanAccumulator:
     try_add projects the candidate onto the orthogonal complement of the
     current basis (twice, for numerical stability) and keeps the residual
     iff its norm stays above tol relative to the candidate's norm.
+
+    The basis lives in the first dim rows of a row buffer that doubles
+    when full, capped at ambient_dim, so memory follows the span's size.
     """
 
     def __init__(self, ambient_dim: int, tol: float = DEFAULT_TOLS.rank):
@@ -108,16 +115,17 @@ class SpanAccumulator:
             raise BadDimension(f"ambient_dim must be >= 1, got {ambient_dim}")
         self.ambient_dim = int(ambient_dim)
         self.tol = float(tol)
-        self._basis = np.zeros((0, self.ambient_dim), dtype=np.complex128)
+        self._buf = np.zeros((0, self.ambient_dim), dtype=np.complex128)
+        self._dim = 0
 
     @property
     def dim(self) -> int:
-        return self._basis.shape[0]
+        return self._dim
 
     @property
     def basis(self) -> np.ndarray:
         """Current orthonormal basis, one vector per row (copy)."""
-        return self._basis.copy()
+        return self._buf[:self._dim].copy()
 
     def try_add(self, v) -> bool:
         """Add v's new direction if any; return True iff dim grew."""
@@ -128,14 +136,22 @@ class SpanAccumulator:
             raise DimensionMismatch(
                 f"vector of length {r.size} in ambient dim {self.ambient_dim}")
         scale = np.linalg.norm(r)
-        if scale == 0.0 or self.dim == self.ambient_dim:
+        if scale == 0.0 or self._dim == self.ambient_dim:
             return False
+        b = self._buf[:self._dim]
         for _ in range(2):  # reorthogonalize: one pass leaks for near-parallel input
-            r = r - self._basis.T @ (self._basis.conj() @ r)
+            # conj(b) @ r without copying b: conj(b @ conj(r))
+            r = r - b.T @ (b @ r.conj()).conj()
         rnorm = np.linalg.norm(r)
         if rnorm <= self.tol * scale:
             return False
-        self._basis = np.vstack([self._basis, r / rnorm])
+        if self._dim == self._buf.shape[0]:
+            grown = np.empty((min(2 * self._dim or 1, self.ambient_dim),
+                              self.ambient_dim), dtype=np.complex128)
+            grown[:self._dim] = b
+            self._buf = grown
+        self._buf[self._dim] = r / rnorm
+        self._dim += 1
         return True
 
 

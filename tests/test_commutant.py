@@ -12,6 +12,7 @@ from posmaps import (
     random_haar_unitary,
     robertson_map,
     trace_map,
+    u0,
 )
 
 
@@ -64,6 +65,11 @@ class TestCommutant:
         for n in (4, 6):
             phi = breuer_hall(random_antisymmetric_unitary(rng, n))
             assert is_irreducible(phi)
+
+    def test_breuer_hall_n12_irreducible(self):
+        # a 20736 x 144 system; a full SVD would also build a 20736^2 U
+        # (~6.9 GB) that nullspace never reads
+        assert commutant_of_range(breuer_hall(u0(12))).dim == 1
 
     def test_verdict_covariant_under_conjugation(self):
         # Psi(X) = W Phi(W^dag X W) W^dag has the same commutant dimension

@@ -84,6 +84,26 @@ class TestNullspace:
             r = family_rank(h)
             assert r + nullspace(h).shape[1] == 5
 
+    def test_wide_keeps_full_kernel(self):
+        # a thin SVD of a wide matrix drops the kernel directions beyond rows
+        assert nullspace(np.ones((1, 4))).shape == (4, 3)
+        rng = make_rng(7)
+        m = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+        ns = nullspace(m)
+        assert ns.shape == (7, 4)
+        assert np.abs(ns.conj().T @ ns - np.eye(4)).max() <= 1e-12
+        assert np.abs(m @ ns).max() <= 1e-12 * np.linalg.norm(m)
+
+    def test_tall_rank_deficient(self):
+        rng = make_rng(8)
+        a = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
+        b = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        m = a @ b  # rank 4
+        ns = nullspace(m)
+        assert ns.shape == (6, 2)
+        assert np.abs(ns.conj().T @ ns - np.eye(2)).max() <= 1e-12
+        assert np.abs(m @ ns).max() <= 1e-9 * np.linalg.norm(m)
+
 
 class TestFamilyRank:
     def test_simple(self):
@@ -155,6 +175,41 @@ class TestSpanAccumulator:
         for v in fam:
             acc.try_add(v)
         assert acc.dim == family_rank(fam)
+
+    def test_grows_to_ambient_dim(self):
+        # 300 Haar vectors fill C^300 one direction each, through the
+        # buffer's doublings and its final cap at the ambient dimension
+        rng = make_rng(9)
+        acc = SpanAccumulator(300)
+        for k in range(300):
+            assert acc.try_add(random_unit_vector(rng, 300)) is True
+            assert acc.dim == k + 1
+        assert acc.try_add(random_unit_vector(rng, 300)) is False
+        assert acc.dim == 300
+        b = acc.basis
+        assert b.shape == (300, 300)
+        assert np.abs(b.conj() @ b.T - np.eye(300)).max() <= 1e-12
+
+    def test_basis_is_a_copy(self):
+        rng = make_rng(10)
+        acc = SpanAccumulator(6)
+        for _ in range(3):
+            acc.try_add(random_unit_vector(rng, 6))
+        before = acc.basis
+        acc.basis[:] = 0.0
+        assert np.array_equal(acc.basis, before)
+        assert acc.try_add(before[0]) is False
+        assert acc.dim == 3
+
+    def test_rejects_member_after_growth(self):
+        rng = make_rng(11)
+        acc = SpanAccumulator(64)
+        added = [random_unit_vector(rng, 64) for _ in range(20)]
+        for v in added:
+            assert acc.try_add(v) is True
+        combo = sum((k + 1j) * v for k, v in enumerate(added))
+        assert acc.try_add(combo) is False
+        assert acc.dim == 20
 
 
 class TestSampling:

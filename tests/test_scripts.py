@@ -61,3 +61,30 @@ def test_bh_exposedness_scan(capsys, budget, saturated, verdict):
                                     "saturated", "verdict")} == {
             "n": "4", "irreducible": "True", "N_dim": "60", "target": "60",
             "saturated": saturated, "verdict": verdict}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("dn_table", ["--n", ","]),
+    ("dn_table", ["--n", "4,x"]),
+    ("bh_exposedness_scan", ["--draws", "0"]),
+])
+def test_nothing_to_tabulate_is_usage_error(capsys, name, argv):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("dn_table", ["--n", "4,5"]),
+    ("bh_exposedness_scan", ["--n", "5", "--draws", "1"]),
+])
+def test_rejected_input_exits_2(capsys, name, argv):
+    # exit 1 means a saturated mismatch, so a bad input must not use it
+    assert load_script(name).main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("error: ") and "even dimension" in last
