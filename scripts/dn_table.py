@@ -6,10 +6,12 @@ randomized strong-spanning estimator, and reports the achieved dimension
 next to the closed form n(n+1)(5n-2)/6 and the (n^2-1)n target bound.
 Writes CSV to stdout or --out.  Exits 1 only when a saturated run misses
 the closed form; a run that stops by budget proves nothing either way.
-Exits 2 on a usage error or a rejected input, such as an odd n.
+Exits 2 on a usage error, an unwritable --out or a rejected input, such as
+an odd n.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -47,19 +49,15 @@ def parse_args(argv=None):
     return args
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def tabulate(args) -> tuple[list[dict], list[str]]:
+    """One CSV row and one span verdict per n; progress lines go to stderr."""
     rng = make_rng(args.seed)
     rows, verdicts = [], []
     for n in args.n:
-        try:
-            phi = breuer_hall(random_antisymmetric_unitary(rng, n))
-            t0 = time.perf_counter()
-            rep = estimate_N_dim(phi, budget=args.budget, seed=args.seed)
-            dt = time.perf_counter() - t0
-        except ToolkitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        phi = breuer_hall(random_antisymmetric_unitary(rng, n))
+        t0 = time.perf_counter()
+        rep = estimate_N_dim(phi, budget=args.budget, seed=args.seed)
+        dt = time.perf_counter() - t0
         rows.append({
             "n": n,
             "Dn": dn_formula(n),
@@ -72,14 +70,22 @@ def main(argv=None) -> int:
         verdicts.append(rep.verdict(dn_formula(n)))
         print(f"n={n}: measured {rep.achieved_dim} vs formula {dn_formula(n)} "
               f"(bound {dn_bound(n)}) [{LABELS[verdicts[-1]]}] {dt:.2f}s", file=sys.stderr)
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    return rows, verdicts
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
-        w = csv.DictWriter(sink, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
-    finally:
-        if args.out:
-            sink.close()
+        # opened first, so that an unwritable --out fails before any row
+        with (open(args.out, "w", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            rows, verdicts = tabulate(args)
+            w = csv.DictWriter(sink, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+    except (ToolkitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 1 if FAIL in verdicts else 0
 
 

@@ -73,17 +73,12 @@ def u0(n: int) -> AntisymmetricUnitary:
     return AntisymmetricUnitary(n=n, matrix=m)
 
 
-def random_antisymmetric_unitary(rng: np.random.Generator, n: int,
-                                 v: np.ndarray | None = None) -> AntisymmetricUnitary:
-    """Draw U = V u0 V^T with Haar V (pass v explicitly to fix V, e.g. V=I)."""
+def random_antisymmetric_unitary(rng: np.random.Generator, n: int) -> AntisymmetricUnitary:
+    """Draw U = V u0 V^T with Haar V."""
     if n % 2 == 1:
         raise OddDimension(f"antisymmetric unitaries need even dimension, got {n}")
-    if v is None:
-        v = random_haar_unitary(rng, n)
-    else:
-        v = as_cmatrix(v, square=True)
-    m = v @ u0(n).matrix @ v.T
-    return certify_antisymmetric_unitary(m)
+    v = random_haar_unitary(rng, n)
+    return certify_antisymmetric_unitary(v @ u0(n).matrix @ v.T)
 
 
 @dataclass(frozen=True, eq=False)

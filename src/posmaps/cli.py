@@ -60,15 +60,19 @@ def _robertson_strong_spanning(seed, ns, budget):
             {"achieved_dim": rep.target_dim}, rep.tolerances)
 
 
-def _bh_random_exposed(seed, n, budget):
-    """Random Breuer-Hall map: unitality, irreducibility, N-dimension.
+def bh_exposedness(u: antisym.AntisymmetricUnitary, seed: int,
+                   budget: int | None):
+    """Breuer-Hall map of U: unitality, irreducibility, N-dimension.
 
     The N-dimension is compared against the closed-form count; only at n=4
     does that count reach the strong-spanning target, so for larger n a
     matching dimension is reported INCONCLUSIVE (the exposedness criterion
-    is silent there), while a mismatched saturated dimension is a FAIL.
+    is silent there), while a mismatched saturated dimension, a map that is
+    not unital or a reducible range is a FAIL.  Returns the runner tuple
+    (status, measured, expected, tolerances); `bh-random-exposed` and
+    scripts/bh_exposedness_scan.py both judge their draws by it.
     """
-    u = antisym.random_antisymmetric_unitary(make_rng(seed), n)
+    n = u.n
     phi = posmap.breuer_hall(u)
     unital = float(np.abs(phi.apply(np.eye(n)) - np.eye(n)).max())
     irred = commutant.is_irreducible(phi)
@@ -87,6 +91,12 @@ def _bh_random_exposed(seed, n, budget):
             {"achieved_dim": expect, "irreducible": True,
              "unital_residual": 0.0},
             rep.tolerances | {"unital": 1e-12})
+
+
+def _bh_random_exposed(seed, n, budget):
+    """bh_exposedness of one U = V u0 V^T drawn from the seed."""
+    u = antisym.random_antisymmetric_unitary(make_rng(seed), n)
+    return bh_exposedness(u, seed, budget)
 
 
 def _reduction_n_fails(seed, n, budget):
@@ -303,10 +313,10 @@ def _cmd_span(args) -> int:
     tols = Tolerances(rank=args.tol_rank, kernel=args.tol_kernel)
     est = witness.estimate_N_dim if args.kind == "N" else witness.estimate_M_dim
     rep = est(phi, budget=args.budget, seed=seed, tols=tols)
+    d = rep.to_dict()
     if args.format == "json":
-        print(json.dumps(rep.to_dict(), sort_keys=True))
+        print(json.dumps(d, sort_keys=True))
     else:
-        d = rep.to_dict()
         print(" ".join(f"{k}={d[k]}" for k in sorted(d) if k != "tolerances"))
     if args.strict and not rep.saturated:
         return 3
@@ -317,11 +327,7 @@ def _cmd_map_export(args) -> int:
     seed = _resolve_seed(args.seed)
     phi = _resolve_map(args.map_spec, args.n, seed)
     m = posmap.choi(phi) if args.form == "choi" else phi.superop
-    try:
-        matio.save_matrix(args.out, m)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    matio.save_matrix(args.out, m)
     return 0
 
 
@@ -338,10 +344,7 @@ def main(argv=None) -> int:
             return _cmd_span(args)
         if args.command == "map-export":
             return _cmd_map_export(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

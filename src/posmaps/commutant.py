@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InconsistentResult
 from .numlin import DEFAULT_TOLS, nullspace
-from .posmap import MapRep, unvec
+from .posmap import MapRep
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,32 +25,23 @@ class CommutantResult:
     basis: np.ndarray  # (n^2, dim), orthonormal columns
     contains_identity: bool
 
-    def matrices(self) -> list[np.ndarray]:
-        return [unvec(self.basis[:, k]) for k in range(self.dim)]
 
+def commutant_of_range(phi: MapRep, tol: float = DEFAULT_TOLS.rank) -> CommutantResult:
+    """Solve {Z : [Phi(E_ij), Z] = 0 for every matrix unit E_ij}.
 
-def commutant_of_range(phi: MapRep, tol: float = DEFAULT_TOLS.rank,
-                       basis=None) -> CommutantResult:
-    """Solve {Z : [Phi(B), Z] = 0 for every operator B}.
-
-    By default B runs over the matrix units; any spanning operator basis
-    gives the same commutant and can be passed for cross-checking.
+    The n^4 x n^2 system is filled in place, one n^2-row block per matrix
+    unit in row-major order (block k = i n + j), so it is held once.
     vec([Y, Z]) = (Y (x) I - I (x) Y^T) vec(Z) under the row-major vec.
     """
     n = phi.n
+    n2 = n * n
     eye = np.eye(n, dtype=np.complex128)
-    if basis is None:
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros((n, n), dtype=np.complex128)
-                e[i, j] = 1.0
-                basis.append(e)
-    blocks = []
-    for b in basis:
-        y = phi.apply(b)
-        blocks.append(np.kron(y, eye) - np.kron(eye, y.T))
-    ns = nullspace(np.vstack(blocks), tol)
+    system = np.empty((n2 * n2, n2), dtype=np.complex128)
+    units = np.eye(n2, dtype=np.complex128).reshape(n2, n, n)
+    for k in range(n2):
+        y = phi.apply(units[k])
+        system[k * n2:(k + 1) * n2] = np.kron(y, eye) - np.kron(eye, y.T)
+    ns = nullspace(system, tol)
     dim = ns.shape[1]
     if dim == 0:
         raise InconsistentResult(

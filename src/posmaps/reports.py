@@ -12,7 +12,7 @@ timings go to stderr when requested.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -35,28 +35,8 @@ class VerificationReport:
             raise ValueError(f"bad status {self.status!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "status": self.status,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            "runtime_ms": None,  # timings are reported out of band
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(check_name=d["check_name"], status=d["status"],
-                   measured=d["measured"], expected=d["expected"],
-                   tolerances=d["tolerances"], seed=d["seed"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(s))
+        # timings are reported out of band
+        return asdict(self) | {"runtime_ms": None}
 
 
 def render_text(report: VerificationReport) -> str:
@@ -83,8 +63,8 @@ def render_reports(reports: list[VerificationReport], fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
     if fmt == "csv":
-        if reports and all("rows" in r.measured for r in reports):
-            # dn-table shape: one row per (n, Dn, bound, measured) tuple
+        if reports and all(r.check_name == "dn-table" for r in reports):
+            # one row per (n, Dn, bound, measured) tuple
             lines = ["n,Dn,bound,measured"]
             for r in reports:
                 for row in r.measured["rows"]:

@@ -13,7 +13,7 @@ that stops by budget without saturating is inconclusive, never a refutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,17 +65,7 @@ class SpanReport:
     tolerances: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "map_name": self.map_name,
-            "kind": self.kind,
-            "target_dim": self.target_dim,
-            "ambient_dim": self.ambient_dim,
-            "achieved_dim": self.achieved_dim,
-            "samples_used": self.samples_used,
-            "saturated": self.saturated,
-            "seed": self.seed,
-            "tolerances": dict(self.tolerances),
-        }
+        return asdict(self)
 
     def verdict(self, expect_dim: int) -> str:
         """PASS, FAIL or INCONCLUSIVE for a span expected to saturate at expect_dim.
@@ -88,11 +78,12 @@ class SpanReport:
         return PASS if self.achieved_dim == expect_dim else FAIL
 
 
-def kernel_of_state(phi: MapRep, x, tol_kernel: float = DEFAULT_TOLS.kernel) -> np.ndarray:
+def kernel_of_state(phi: MapRep, x, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Orthonormal basis (columns) of ker Phi(P_x) for the normalized x.
 
-    Eigenvalues <= tol_kernel count as zero.  A negative eigenvalue below
-    -tol_kernel raises NonpositiveState, which doubles as a positivity alarm.
+    Phi(P_x) must be Hermitian within tols.herm.  Eigenvalues <= tols.kernel
+    count as zero.  A negative eigenvalue below -tols.kernel raises
+    NonpositiveState, which doubles as a positivity alarm.
     """
     x = np.asarray(x, dtype=np.complex128).ravel()
     nx = np.linalg.norm(x)
@@ -100,22 +91,22 @@ def kernel_of_state(phi: MapRep, x, tol_kernel: float = DEFAULT_TOLS.kernel) -> 
         raise BadDimension("x must be a nonzero vector")
     x = x / nx
     m = phi.apply(np.outer(x, x.conj()))
-    w, v = hermitian_eig(m)
-    if w[0] < -tol_kernel:
+    w, v = hermitian_eig(m, tols.herm)
+    if w[0] < -tols.kernel:
         raise NonpositiveState(
-            f"Phi(P_x) has eigenvalue {w[0]:.3e} < -{tol_kernel:.1e}")
-    return v[:, w <= tol_kernel]
+            f"Phi(P_x) has eigenvalue {w[0]:.3e} < -{tols.kernel:.1e}")
+    return v[:, w <= tols.kernel]
 
 
-def kernel_pairs(phi: MapRep, x, tol_kernel: float = DEFAULT_TOLS.kernel) -> list[KernelPair]:
+def kernel_pairs(phi: MapRep, x, tols: Tolerances = DEFAULT_TOLS) -> list[KernelPair]:
     """KernelPair list for one x; residuals re-checked by direct matvec."""
     x = np.asarray(x, dtype=np.complex128).ravel()
     x = x / np.linalg.norm(x)
     m = phi.apply(np.outer(x, x.conj()))
     out = []
-    for y in kernel_of_state(phi, x, tol_kernel).T:
+    for y in kernel_of_state(phi, x, tols).T:
         residual = float(np.linalg.norm(m @ y))
-        if residual > tol_kernel:
+        if residual > tols.kernel:
             raise InconsistentResult(
                 f"kernel vector fails recheck: residual {residual:.3e}")
         out.append(KernelPair(x=x.copy(), y=y.copy(), residual=residual))
@@ -158,7 +149,7 @@ def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
             break
         used += 1
         grew = False
-        for y in kernel_of_state(phi, x, tols.kernel).T:
+        for y in kernel_of_state(phi, x, tols).T:
             g = np.kron(x, y) if kind == "M" else np.kron(np.kron(x, x.conj()), y)
             if acc.try_add(g):
                 grew = True

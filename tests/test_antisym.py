@@ -68,10 +68,6 @@ class TestRandomDraws:
         b = random_antisymmetric_unitary(make_rng(3), 6)
         assert np.array_equal(a.matrix, b.matrix)
 
-    def test_identity_frame_gives_u0(self):
-        u = random_antisymmetric_unitary(make_rng(0), 4, v=np.eye(4))
-        assert np.allclose(u.matrix, u0(4).matrix)
-
 
 class TestCanonicalDecompose:
     def test_u0_all_phases_zero(self):

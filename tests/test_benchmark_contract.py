@@ -1,0 +1,42 @@
+"""The benchmark's tracer contract: every wrapped entry point still exists.
+
+perfbench/ wraps posmaps functions by (owner, attribute) and requires some
+of them to fire in each workload.  A refactor that renames or drops one of
+them would otherwise surface only on a traced benchmark run.  The benchmark
+files are imported, never changed.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load("tracing")
+workloads = load("workloads")
+
+
+@pytest.mark.parametrize("owner, attr, name", tracing.ENTRY_POINTS,
+                         ids=[e[2] for e in tracing.ENTRY_POINTS])
+def test_entry_point_resolves(owner, attr, name):
+    assert callable(getattr(owner, attr, None)), name
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_required_spans_are_wrapped(tmp_path, workload):
+    spans = {name for _, _, name in tracing.ENTRY_POINTS}
+    w = workloads.WORKLOADS[workload](1, str(tmp_path))
+    assert w.required <= spans
+    assert w.required

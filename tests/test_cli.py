@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import posmaps
-from posmaps import load_matrix, robertson_map, save_matrix, choi
-from posmaps.cli import CHECKS, main
+from posmaps import commutant, load_matrix, robertson_map, save_matrix, choi, u0
+from posmaps.cli import CHECKS, bh_exposedness, main
 from posmaps.reports import (
     FAIL,
     INCONCLUSIVE,
@@ -75,8 +75,7 @@ class TestVerify:
         assert docs[0]["status"] == "PASS"
         assert docs[0]["measured"]["rank"] == 60
         assert docs[0]["runtime_ms"] is None
-        rt = VerificationReport.from_dict(docs[0])
-        assert rt.check_name == "prop3-robertson-60"
+        assert docs[0]["check_name"] == "prop3-robertson-60"
 
     def test_example1_reports_printed_variant(self, capsys):
         _, out, _ = run(capsys, "verify", "example1-transpose",
@@ -100,6 +99,23 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "check,status,measured,expected,seed"
         assert lines[1].startswith("example2-reduction,PASS,")
+
+    def test_csv_layout_chosen_by_check_name(self):
+        # a "rows" key alone does not make a report a dn-table
+        r = VerificationReport(check_name="other", status=PASS,
+                               measured={"rows": [[1, 2]]})
+        lines = render_reports([r], "csv").splitlines()
+        assert lines[0] == "check,status,measured,expected,seed"
+        assert lines[1].startswith("other,PASS,")
+
+    def test_bh_exposedness_fails_reducible_map(self, monkeypatch):
+        # unitality and irreducibility gate the verdict whatever the span
+        # reaches; the exposedness scan judges its draws by the same rule
+        monkeypatch.setattr(commutant, "is_irreducible", lambda phi: False)
+        status, measured, _, _ = bh_exposedness(u0(4), 0, None)
+        assert status == FAIL
+        assert measured["irreducible"] is False
+        assert measured["achieved_dim"] == measured["strong_spanning_target"]
 
     def test_seed_from_env_and_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("SEED", "7")
@@ -230,10 +246,18 @@ class TestMapExport:
         assert a.read_text() == b.read_text()
 
     def test_unwritable_path(self, capsys, tmp_path):
-        code, _, err = run(capsys, "map-export", "--map", "robertson",
-                           "--out", str(tmp_path / "no" / "dir" / "x.json"))
+        code, out, err = run(capsys, "map-export", "--map", "robertson",
+                             "--out", str(tmp_path / "no" / "dir" / "x.json"))
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "span", "--map",
+                             f"file:{tmp_path / 'no' / 'x.json'}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_non_matrix_file_rejected(self, capsys, tmp_path):
         p = tmp_path / "junk.json"
@@ -274,9 +298,10 @@ class TestReports:
     def test_json_roundtrip_drops_runtime(self):
         r = VerificationReport(check_name="x", status=PASS,
                                measured={"a": 1}, seed=3)
-        assert r.to_dict()["runtime_ms"] is None
-        rt = VerificationReport.from_json(r.to_json())
-        assert rt == r
+        doc = json.loads(json.dumps(r.to_dict()))
+        assert doc == {"check_name": "x", "status": PASS,
+                       "measured": {"a": 1}, "expected": {},
+                       "tolerances": {}, "seed": 3, "runtime_ms": None}
 
     def test_render_text_shape(self):
         r = VerificationReport(check_name="demo", status=FAIL,

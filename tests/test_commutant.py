@@ -8,11 +8,14 @@ from posmaps import (
     is_irreducible,
     make_rng,
     map_from_action,
+    nullspace,
     random_antisymmetric_unitary,
     random_haar_unitary,
     robertson_map,
     trace_map,
+    transpose_map,
     u0,
+    unvec,
 )
 
 
@@ -39,9 +42,8 @@ class TestCommutant:
     def test_robertson_one_dimensional(self):
         res = commutant_of_range(robertson_map())
         assert res.dim == 1
-        mats = res.matrices()
-        assert len(mats) == 1
-        off = mats[0] - np.trace(mats[0]) / 4 * np.eye(4)
+        z = unvec(res.basis[:, 0])
+        off = z - np.trace(z) / 4 * np.eye(4)
         assert np.abs(off).max() <= 1e-10
 
     def test_pinch_reducible(self):
@@ -49,16 +51,44 @@ class TestCommutant:
         assert res.dim == 2
         assert not is_irreducible(pinch_map(2))
         # every commutant element is diagonal here
-        for m in res.matrices():
+        for k in range(res.dim):
+            m = unvec(res.basis[:, k])
             assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-10
 
     def test_custom_basis_invariance(self):
+        # any spanning operator basis gives the same commutant as the
+        # matrix units that commutant_of_range uses
         rng = make_rng(0)
         phi = robertson_map()
-        basis = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                 for _ in range(16)]
-        res = commutant_of_range(phi, basis=basis)
-        assert res.dim == commutant_of_range(phi).dim == 1
+        eye = np.eye(4)
+        blocks = []
+        for _ in range(16):
+            y = phi.apply(rng.standard_normal((4, 4))
+                          + 1j * rng.standard_normal((4, 4)))
+            blocks.append(np.kron(y, eye) - np.kron(eye, y.T))
+        other = nullspace(np.vstack(blocks))
+        res = commutant_of_range(phi)
+        assert other.shape[1] == res.dim == 1
+        proj = res.basis @ res.basis.conj().T
+        assert np.abs(other @ other.conj().T - proj).max() <= 1e-10
+
+    @pytest.mark.parametrize("phi", [breuer_hall(u0(4)), trace_map(3),
+                                     transpose_map(3)],
+                             ids=["breuer_hall_4", "trace_3", "transpose_3"])
+    def test_basis_matches_stacked_system(self, phi):
+        # the preallocated system is the vstack of the per-unit kron
+        # blocks, row for row, so the SVD and its basis are bitwise the same
+        n = phi.n
+        eye = np.eye(n, dtype=np.complex128)
+        blocks = []
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((n, n), dtype=np.complex128)
+                e[i, j] = 1.0
+                y = phi.apply(e)
+                blocks.append(np.kron(y, eye) - np.kron(eye, y.T))
+        expect = nullspace(np.vstack(blocks))
+        assert np.array_equal(commutant_of_range(phi).basis, expect)
 
     def test_breuer_hall_random_irreducible(self):
         rng = make_rng(1)

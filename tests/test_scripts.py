@@ -88,3 +88,29 @@ def test_rejected_input_exits_2(capsys, name, argv):
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
     assert last.startswith("error: ") and "even dimension" in last
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("dn_table", ["--n", "4"]),
+    ("bh_exposedness_scan", ["--n", "4", "--draws", "1"]),
+])
+def test_unwritable_out_exits_2_before_any_row(capsys, tmp_path, name, argv):
+    out = tmp_path / "no" / "dir" / "x.csv"
+    assert load_script(name).main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the only stderr line is the error: no row was computed first
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_scan_applies_verify_rule(capsys, monkeypatch):
+    # a draw that bh-random-exposed would FAIL is UNEXPECTED, even with
+    # the N-dimension saturated at the target
+    from posmaps import commutant
+    monkeypatch.setattr(commutant, "is_irreducible", lambda phi: False)
+    code, _, rows = run_script(capsys, "bh_exposedness_scan",
+                               "--n", "4", "--draws", "1")
+    assert code == 1
+    assert rows[0]["N_dim"] == rows[0]["target"] == "60"
+    assert (rows[0]["irreducible"], rows[0]["verdict"]) == ("False", "UNEXPECTED")

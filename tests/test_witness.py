@@ -6,8 +6,10 @@ from posmaps import (
     BadDimension,
     InconsistentResult,
     NonpositiveState,
+    NotHermitian,
     SpanAccumulator,
     SpanReport,
+    Tolerances,
     UnknownFamily,
     breuer_hall,
     dn_bound,
@@ -73,6 +75,35 @@ class TestKernelOfState:
         neg = map_from_action(2, lambda m: -m, "negate")
         with pytest.raises(NonpositiveState):
             kernel_of_state(neg, [1.0, 0.0])
+
+
+def skewed_transpose(eps):
+    # X -> X^T + eps i Tr(X) I: Phi(P_x) is off Hermitian by 2 eps
+    return map_from_action(
+        2, lambda m: m.T + eps * 1j * np.trace(m) * np.eye(2), "skewed")
+
+
+class TestHermTolerance:
+    def test_loose_herm_accepts_small_skew(self):
+        # a 8e-12 deviation fails the default 1e-12 but not herm=1e-11
+        tols = Tolerances(herm=1e-11)
+        phi = skewed_transpose(4e-12)
+        rep = estimate_M_dim(phi, tols=tols)
+        assert rep.saturated
+        assert rep.achieved_dim == estimate_M_dim(transpose_map(2)).achieved_dim
+        assert rep.tolerances["herm"] == 1e-11
+        assert len(kernel_pairs(phi, [1.0, 0.0], tols)) == 1
+        with pytest.raises(NotHermitian):
+            estimate_M_dim(phi)
+
+    def test_tight_herm_rejects_small_skew(self):
+        # a 2e-13 deviation passes the default 1e-12 but not herm=1e-14
+        phi = skewed_transpose(1e-13)
+        assert estimate_M_dim(phi).saturated
+        with pytest.raises(NotHermitian):
+            estimate_M_dim(phi, tols=Tolerances(herm=1e-14))
+        with pytest.raises(NotHermitian):
+            kernel_of_state(phi, [1.0, 0.0], Tolerances(herm=1e-14))
 
 
 class TestKernelPairs:
