@@ -73,10 +73,12 @@ def nullspace(m, tol: float = DEFAULT_TOLS.rank) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.complex128)
     if rows == 0 or not np.any(m):
         return np.eye(cols, dtype=np.complex128)
-    # A tall system needs only the thin factor, whose vh is already
-    # cols x cols; the full one would add an unused rows x rows U.  A wide
-    # system needs the full vh: its last cols - rows rows are kernel
+    # A tall system has the singular values and right factor of its
+    # cols x cols QR factor R, so no rows x cols left factor is built.  A
+    # wide system needs the full vh: its last cols - rows rows are kernel
     # directions the thin factor drops.
+    if rows > cols:
+        m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     rank = int(np.sum(s > tol * s[0]))
     return vh[rank:].conj().T

@@ -104,6 +104,21 @@ class TestNullspace:
         assert np.abs(ns.conj().T @ ns - np.eye(2)).max() <= 1e-12
         assert np.abs(m @ ns).max() <= 1e-9 * np.linalg.norm(m)
 
+    @pytest.mark.parametrize("rows,cols,rank", [(200, 20, 13), (4096, 64, 62),
+                                                (5, 12, 5)])
+    def test_matches_reference_svd(self, rows, cols, rank):
+        # tall systems go through their QR factor R, wide ones keep the
+        # full vh; both must cut where an SVD of the matrix itself does
+        rng = make_rng(rows + cols)
+        a = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        b = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        m = a @ b
+        _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+        ref = vh[int(np.sum(s > DEFAULT_TOLS.rank * s[0])):].conj().T
+        ns = nullspace(m)
+        assert ns.shape == ref.shape == (cols, cols - rank)
+        assert np.abs(ns @ ns.conj().T - ref @ ref.conj().T).max() <= 1e-12
+
 
 class TestFamilyRank:
     def test_simple(self):
