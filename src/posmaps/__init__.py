@@ -12,7 +12,6 @@ from .antisym import (
     CanonicalForm,
     canonical_decompose,
     certify_antisymmetric_unitary,
-    eigenphase_pairs,
     random_antisymmetric_unitary,
     u0,
 )
@@ -47,15 +46,12 @@ from .numlin import (
 from .posmap import (
     MapRep,
     PositivitySample,
-    apply_via_choi,
     breuer_hall,
     choi,
-    identity_map,
     map_from_action,
     map_from_choi,
     positivity_sample_test,
     reduction_map,
-    robertson_block_form,
     robertson_map,
     superop_from_choi,
     trace_map,
@@ -76,7 +72,6 @@ from .witness import (
     kernel_pairs,
     paper_family,
     paper_family_pairs,
-    unitary_covariance_check,
 )
 
 __version__ = "0.1.0"

@@ -32,6 +32,12 @@ TWO_PI = 2.0 * np.pi
 # unitary congruences) select all representatives from one half-plane.
 _SNAP = 1e-10
 
+# Cutoffs: the max-abs residuals of U^T = -U and U^dag U = I that
+# certify_antisymmetric_unitary accepts, and the eigenvalue-pairing and
+# reconstruction residuals that canonical_decompose accepts.
+ANTISYM_TOL = 1e-12
+DECOMPOSE_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class AntisymmetricUnitary:
@@ -41,12 +47,12 @@ class AntisymmetricUnitary:
     matrix: np.ndarray
 
 
-def certify_antisymmetric_unitary(matrix, tol: float = 1e-12) -> AntisymmetricUnitary:
-    """Validate U^T = -U and U^dag U = I within tol; wrap on success.
+def certify_antisymmetric_unitary(matrix) -> AntisymmetricUnitary:
+    """Validate U^T = -U and U^dag U = I within ANTISYM_TOL; wrap on success.
 
     Raises OddDimension for odd input (no antisymmetric unitary exists
     there: det U = det U^T = (-1)^n det U) and NotAntisymmetricUnitary
-    when either residual exceeds tol.
+    when either residual exceeds ANTISYM_TOL.
     """
     u = as_cmatrix(matrix, square=True)
     n = u.shape[0]
@@ -55,11 +61,13 @@ def certify_antisymmetric_unitary(matrix, tol: float = 1e-12) -> AntisymmetricUn
     if n < 2:
         raise BadDimension(f"dimension must be >= 2, got {n}")
     anti = np.abs(u.T + u).max()
-    if anti > tol:
-        raise NotAntisymmetricUnitary(f"antisymmetry residual {anti:.3e} > {tol:.1e}")
+    if anti > ANTISYM_TOL:
+        raise NotAntisymmetricUnitary(
+            f"antisymmetry residual {anti:.3e} > {ANTISYM_TOL:.1e}")
     unit = np.abs(u.conj().T @ u - np.eye(n)).max()
-    if unit > tol:
-        raise NotAntisymmetricUnitary(f"unitarity residual {unit:.3e} > {tol:.1e}")
+    if unit > ANTISYM_TOL:
+        raise NotAntisymmetricUnitary(
+            f"unitarity residual {unit:.3e} > {ANTISYM_TOL:.1e}")
     return AntisymmetricUnitary(n=n, matrix=u.copy())
 
 
@@ -121,17 +129,17 @@ class CanonicalForm:
         return self.r @ np.kron(np.diag(half), np.eye(2))
 
 
-def _pair_indices(lam: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Greedy matching of eigenvalues into (lam, -lam) pairs."""
+def _pair_indices(lam: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy matching of eigenvalues into (lam, -lam) pairs within DECOMPOSE_TOL."""
     left = list(range(lam.size))
     pairs = []
     while left:
         i = left.pop(0)
         resid = np.abs(lam[i] + lam[left])
         k = int(np.argmin(resid))
-        if resid[k] > tol:
+        if resid[k] > DECOMPOSE_TOL:
             raise PairingFailed(
-                f"no partner for eigenvalue {lam[i]:.6f} within {tol:.1e} "
+                f"no partner for eigenvalue {lam[i]:.6f} within {DECOMPOSE_TOL:.1e} "
                 f"(best residual {resid[k]:.3e})")
         pairs.append((i, left.pop(k)))
     return pairs
@@ -158,12 +166,12 @@ def _select_representative(phases: np.ndarray, i: int, j: int) -> tuple[float, i
     return max(a, 0.0), k
 
 
-def canonical_decompose(u, tol: float = 1e-8) -> CanonicalForm:
+def canonical_decompose(u) -> CanonicalForm:
     """Factor an antisymmetric unitary as R . diag{e^{i a_k} i sigma_y} . R^T.
 
     Accepts an AntisymmetricUnitary or a raw matrix (certified first).
-    Raises DecompositionFailed when the reconstruction residual or the
-    orthogonality of R exceeds tolerance, which signals ill-conditioned
+    Raises DecompositionFailed when the reconstruction residual exceeds
+    DECOMPOSE_TOL or R is not orthogonal, which signals ill-conditioned
     pairing (e.g. two distinct blocks with phases straddling 0 and pi
     within roughly 1e-10 of each other).
     """
@@ -174,7 +182,7 @@ def canonical_decompose(u, tol: float = 1e-8) -> CanonicalForm:
     lam, w = np.linalg.eig(m)
     phases = np.angle(-1j * lam)  # block phase alpha of each eigenvalue
     reps = [_select_representative(phases, i, j)
-            for i, j in _pair_indices(lam, tol)]
+            for i, j in _pair_indices(lam)]
     reps.sort(key=lambda t: t[0])
     # QR keeps each column inside its own (possibly degenerate) eigenspace
     # because same-phase columns are adjacent after the sort and distinct
@@ -191,21 +199,7 @@ def canonical_decompose(u, tol: float = 1e-8) -> CanonicalForm:
     if orth > 1e-10:
         raise DecompositionFailed(f"frame not orthogonal: residual {orth:.3e}")
     resid = np.abs(m - form.reconstruct()).max()
-    if resid > tol:
-        raise DecompositionFailed(f"reconstruction residual {resid:.3e} > {tol:.1e}")
+    if resid > DECOMPOSE_TOL:
+        raise DecompositionFailed(
+            f"reconstruction residual {resid:.3e} > {DECOMPOSE_TOL:.1e}")
     return form
-
-
-def eigenphase_pairs(u, tol: float = 1e-8) -> list[tuple[float, float]]:
-    """Eigenphases of U grouped as (beta, beta + pi), beta in [0, pi).
-
-    The (lam, -lam) pairing of the spectrum is certified with residual
-    |lam_i + lam_j| <= tol; PairingFailed otherwise.  Sorted by beta.
-    """
-    if not isinstance(u, AntisymmetricUnitary):
-        u = certify_antisymmetric_unitary(u)
-    lam = np.linalg.eigvals(u.matrix)
-    phases = np.angle(lam)
-    betas = [_select_representative(phases, i, j)[0]
-             for i, j in _pair_indices(lam, tol)]
-    return sorted((b, b + np.pi) for b in betas)

@@ -74,6 +74,8 @@ def bh_exposedness(u: antisym.AntisymmetricUnitary, seed: int,
     """
     n = u.n
     phi = posmap.breuer_hall(u)
+    # Phi_U(I) - I = (I - U U^dag) / (n - 2), so the unitality cut is the
+    # one that certified U as unitary
     unital = float(np.abs(phi.apply(np.eye(n)) - np.eye(n)).max())
     irred = commutant.is_irreducible(phi)
     rep = witness.estimate_N_dim(phi, budget=budget, seed=seed)
@@ -81,7 +83,7 @@ def bh_exposedness(u: antisym.AntisymmetricUnitary, seed: int,
     status = rep.verdict(expect)
     if status == PASS and rep.achieved_dim < rep.target_dim:
         status = INCONCLUSIVE
-    if not irred or unital > 1e-12:
+    if not irred or unital > antisym.ANTISYM_TOL:
         status = FAIL
     return (status,
             {"n": n, "unital_residual": unital, "irreducible": irred,
@@ -90,7 +92,7 @@ def bh_exposedness(u: antisym.AntisymmetricUnitary, seed: int,
              "saturated": rep.saturated},
             {"achieved_dim": expect, "irreducible": True,
              "unital_residual": 0.0},
-            rep.tolerances | {"unital": 1e-12})
+            rep.tolerances | {"unital": antisym.ANTISYM_TOL})
 
 
 def _bh_random_exposed(seed, n, budget):
@@ -147,9 +149,9 @@ def _canonical_form_roundtrip(seed, ns, budget):
         ref = antisym.canonical_decompose(antisym.u0(n))
         worst_alpha = max(abs(a) for a in ref.alphas)
         worst = max(worst, worst_alpha)
-    return (PASS if worst <= 1e-8 else FAIL,
+    return (PASS if worst <= antisym.DECOMPOSE_TOL else FAIL,
             {"max_residual": worst, "decompositions": count},
-            {"max_residual": 0.0}, {"reconstruction": 1e-8})
+            {"max_residual": 0.0}, {"reconstruction": antisym.DECOMPOSE_TOL})
 
 
 def _positivity_sample(seed, ns, budget):
@@ -164,7 +166,8 @@ def _positivity_sample(seed, ns, budget):
         measured[f"min_value_n{n}"] = res.min_value
         ok = ok and res.min_value >= -DEFAULT_TOLS.kernel
     return (PASS if ok else FAIL, measured | {"trials": 10_000},
-            {"min_value": ">= -1e-10"}, {"kernel": DEFAULT_TOLS.kernel})
+            {"min_value": f">= {-DEFAULT_TOLS.kernel}"},
+            {"kernel": DEFAULT_TOLS.kernel})
 
 
 # check name -> (runner, default --n).  A runner maps (seed, ns, budget) to

@@ -61,7 +61,7 @@ def _probe_images(phi: MapRep) -> np.ndarray:
     return np.stack([phi.apply(x + x.conj().T) for x in h])
 
 
-def commutant_of_range(phi: MapRep, tol: float = DEFAULT_TOLS.rank) -> CommutantResult:
+def commutant_of_range(phi: MapRep) -> CommutantResult:
     """Solve {Z : [Phi(X), Z] = 0 for every X}.
 
     The probe system of PROBE_IMAGES random range elements is solved
@@ -69,31 +69,32 @@ def commutant_of_range(phi: MapRep, tol: float = DEFAULT_TOLS.rank) -> Commutant
     n^4 x n^2 system over the matrix units decides.
     """
     n = phi.n
-    ns = nullspace(_system(_probe_images(phi), n), tol)
+    ns = nullspace(_system(_probe_images(phi), n))
     if ns.shape[1] != 1:
         # superop column i n + j is vec(Phi(E_ij)), so the rows of its
         # transpose are the matrix-unit images, read without n^2 applies
-        ns = nullspace(_system(phi.superop.T.reshape(n * n, n, n), n), tol)
+        ns = nullspace(_system(phi.superop.T.reshape(n * n, n, n), n))
     dim = ns.shape[1]
     if dim == 0:
         raise InconsistentResult(
             "empty commutant; the identity always commutes")
     # A computed null vector drifts from the exact kernel by about
-    # eps * s0 / s for the smallest kept singular value s > tol * s0, so
-    # the identity check is bounded by a multiple of eps / tol.
+    # eps * s0 / s for the smallest kept singular value s > rank * s0, so
+    # the identity check is bounded by a multiple of eps / rank.
     vi = np.eye(n, dtype=np.complex128).ravel() / np.sqrt(n)
     proj = ns @ (ns.conj().T @ vi)
-    contains = bool(np.linalg.norm(proj - vi) <= 100 * np.finfo(float).eps / tol)
+    contains = bool(np.linalg.norm(proj - vi)
+                    <= 100 * np.finfo(float).eps / DEFAULT_TOLS.rank)
     if not contains:
         raise InconsistentResult(
             "identity missing from the computed commutant")
     return CommutantResult(dim=dim, basis=ns, contains_identity=contains)
 
 
-def is_irreducible(phi: MapRep, tol: float = DEFAULT_TOLS.rank) -> bool:
+def is_irreducible(phi: MapRep) -> bool:
     """True iff the commutant of the range is one-dimensional.
 
     commutant_of_range has already checked that the identity lies in the
     commutant, so a one-dimensional commutant is spanned by it.
     """
-    return commutant_of_range(phi, tol).dim == 1
+    return commutant_of_range(phi).dim == 1

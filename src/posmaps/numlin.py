@@ -9,7 +9,8 @@ route gets caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -21,14 +22,23 @@ class Tolerances:
     rank : relative singular-value cutoff (fraction of the largest value)
     kernel : absolute eigenvalue cutoff when harvesting kernels of PSD matrices
     herm : max-abs deviation allowed when certifying hermiticity
+
+    Every field must be finite and > 0, and rank < 1; anything else raises
+    ToolkitError.  A zero, negative or NaN cutoff would count noise as span
+    directions, or every eigenvalue as a kernel, and so fake a certificate.
     """
 
     rank: float = 1e-9
     kernel: float = 1e-10
     herm: float = 1e-12
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self):
+        from .errors import ToolkitError
+
+        valid = all(math.isfinite(t) and t > 0 for t in astuple(self))
+        if not valid or self.rank >= 1:
+            raise ToolkitError(
+                f"tolerances must be finite and > 0, with rank < 1; got {self}")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -61,11 +71,11 @@ def hermitian_eig(m, tol_herm: float = DEFAULT_TOLS.herm):
     return np.linalg.eigh((m + m.conj().T) / 2.0)
 
 
-def nullspace(m, tol: float = DEFAULT_TOLS.rank) -> np.ndarray:
+def nullspace(m) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns, via SVD.
 
-    Singular values <= tol * max(s) count as zero.  A zero (or empty)
-    matrix returns the identity basis of its column space.
+    Singular values <= DEFAULT_TOLS.rank * max(s) count as zero.  A zero
+    (or empty) matrix returns the identity basis of its column space.
     """
     m = as_cmatrix(m)
     rows, cols = m.shape
@@ -80,12 +90,15 @@ def nullspace(m, tol: float = DEFAULT_TOLS.rank) -> np.ndarray:
     if rows > cols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > DEFAULT_TOLS.rank * s[0]))
     return vh[rank:].conj().T
 
 
-def family_rank(vectors, tol: float = DEFAULT_TOLS.rank) -> int:
-    """Rank of a family of vectors (rows or a sequence), SVD route."""
+def family_rank(vectors) -> int:
+    """Rank of a family of vectors (rows or a sequence), SVD route.
+
+    Singular values <= DEFAULT_TOLS.rank * max(s) count as zero.
+    """
     from .errors import EmptyFamily
 
     arr = np.asarray(vectors, dtype=np.complex128)
@@ -96,7 +109,7 @@ def family_rank(vectors, tol: float = DEFAULT_TOLS.rank) -> int:
     s = np.linalg.svd(arr, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > DEFAULT_TOLS.rank * s[0]))
 
 
 class SpanAccumulator:
@@ -158,7 +171,14 @@ class SpanAccumulator:
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
-    """PCG64 generator; the single RNG entry point for reproducibility."""
+    """PCG64 generator; the single RNG entry point for reproducibility.
+
+    A negative seed raises ToolkitError; None draws fresh OS entropy.
+    """
+    from .errors import ToolkitError
+
+    if seed is not None and seed < 0:
+        raise ToolkitError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

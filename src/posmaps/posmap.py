@@ -71,11 +71,6 @@ def map_from_action(n: int, action, name: str) -> MapRep:
     return MapRep(n=n, superop=s, name=name)
 
 
-def identity_map(n: int) -> MapRep:
-    return MapRep(n=n, superop=np.eye(n * n, dtype=np.complex128),
-                  name=f"identity_{n}")
-
-
 def transpose_map(n: int) -> MapRep:
     """tau(X) = X^T."""
     if n < 2:
@@ -125,32 +120,6 @@ def robertson_map() -> MapRep:
     return dataclasses.replace(breuer_hall(u0(4)), name="robertson")
 
 
-def robertson_block_form(x) -> np.ndarray:
-    """Apply the n=4 map through its 2x2-block shape instead of the superop.
-
-    Writing X in 2x2 blocks [[A, B], [C, D]], the map evaluates to
-    (1/2) [[I tr D, -(B + r(C))], [-(C + r(B)), I tr A]] with
-    r(Y) = I tr Y - Y.  Serves as an independent cross-check of
-    robertson_map, which must agree within 1e-12.
-    """
-    x = as_cmatrix(x, square=True)
-    if x.shape != (4, 4):
-        raise BadDimension(f"expected 4x4, got {x.shape}")
-    a, b = x[:2, :2], x[:2, 2:]
-    c, d = x[2:, :2], x[2:, 2:]
-    eye = np.eye(2, dtype=np.complex128)
-
-    def r(y):
-        return eye * np.trace(y) - y
-
-    out = np.empty((4, 4), dtype=np.complex128)
-    out[:2, :2] = eye * np.trace(d)
-    out[:2, 2:] = -(b + r(c))
-    out[2:, :2] = -(c + r(b))
-    out[2:, 2:] = eye * np.trace(a)
-    return 0.5 * out
-
-
 def choi(phi: MapRep) -> np.ndarray:
     """Choi matrix C = sum_ij E_ij (x) Phi(E_ij), via index reshuffle."""
     n = phi.n
@@ -176,17 +145,6 @@ def map_from_choi(c, name: str) -> MapRep:
     return MapRep(n=n, superop=s, name=name)
 
 
-def apply_via_choi(c, x) -> np.ndarray:
-    """Phi(X)[k,l] = sum_ij X[i,j] C[(i,k),(j,l)]; contraction route."""
-    c = as_cmatrix(c, square=True)
-    x = as_cmatrix(x, square=True)
-    n = x.shape[0]
-    if c.shape[0] != n * n:
-        raise DimensionMismatch(f"Choi side {c.shape[0]} does not match n={n}")
-    c4 = c.reshape(n, n, n, n)
-    return np.einsum("ij,ikjl->kl", x, c4)
-
-
 @dataclass(frozen=True)
 class PositivitySample:
     """Sampled minimum of <y|Phi(P_x)|y> over random unit pairs."""
@@ -201,8 +159,9 @@ class PositivitySample:
 def positivity_sample_test(phi: MapRep, trials: int, seed: int) -> PositivitySample:
     """Monte-Carlo necessary check of positivity.
 
-    A sampled value below -tol_kernel certifies that Phi is not positive;
-    a nonnegative minimum is only evidence.  Draws the x batch first, then
+    A sampled value below round-off certifies that Phi is not positive;
+    `verify positivity-sample` draws that line at -DEFAULT_TOLS.kernel.  A
+    nonnegative minimum is only evidence.  Draws the x batch first, then
     the y batch, so results are reproducible for a fixed seed.
     """
     if trials < 1:

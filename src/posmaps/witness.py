@@ -32,8 +32,8 @@ from .numlin import (
     make_rng,
     random_unit_vector,
 )
-from .posmap import MapRep, breuer_hall
-from .antisym import random_antisymmetric_unitary, u0
+from .posmap import MapRep
+from .antisym import u0
 from .reports import FAIL, INCONCLUSIVE, PASS
 
 # consecutive sample vectors allowed to add no dimension before the
@@ -160,7 +160,7 @@ def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
     return SpanReport(map_name=phi.name, kind=kind, target_dim=target,
                       ambient_dim=ambient, achieved_dim=acc.dim,
                       samples_used=used, saturated=saturated, seed=seed,
-                      tolerances=tols.as_dict())
+                      tolerances=asdict(tols))
 
 
 def estimate_M_dim(phi: MapRep, budget: int | None = None, seed: int = 0,
@@ -250,20 +250,3 @@ def dn_bound(n: int) -> int:
     if n < 1:
         raise BadDimension(f"n must be >= 1, got {n}")
     return n * (n * n - 1)
-
-
-def unitary_covariance_check(n: int, seed: int = 0,
-                             budget: int | None = None) -> bool:
-    """Saturated N-dimension is invariant under U -> V u0 V^T.
-
-    Draws one Haar V from the seed and compares the saturated N estimates
-    of the map built from V u0 V^T and from u0 itself.
-    """
-    rng = make_rng(seed)
-    phi_ref = breuer_hall(u0(n))
-    phi_rnd = breuer_hall(random_antisymmetric_unitary(rng, n))
-    a = estimate_N_dim(phi_ref, budget=budget, seed=seed)
-    b = estimate_N_dim(phi_rnd, budget=budget, seed=seed + 1)
-    if not (a.saturated and b.saturated):
-        raise InconsistentResult("covariance check did not saturate; raise budget")
-    return a.achieved_dim == b.achieved_dim

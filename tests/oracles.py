@@ -1,0 +1,100 @@
+"""Reference implementations that only the tests use.
+
+Each computes something the package already computes, by a second route,
+so that a test can compare the two: the n=4 map through its 2x2-block
+shape, a map applied through its Choi matrix, the eigenphases of an
+antisymmetric unitary, and the unitary covariance of the N-dimension.
+"""
+
+import numpy as np
+
+from posmaps import (
+    AntisymmetricUnitary,
+    BadDimension,
+    DimensionMismatch,
+    InconsistentResult,
+    MapRep,
+    breuer_hall,
+    certify_antisymmetric_unitary,
+    estimate_N_dim,
+    make_rng,
+    random_antisymmetric_unitary,
+    u0,
+)
+from posmaps.antisym import _pair_indices, _select_representative
+from posmaps.numlin import as_cmatrix
+
+
+def identity_map(n: int) -> MapRep:
+    return MapRep(n=n, superop=np.eye(n * n, dtype=np.complex128),
+                  name=f"identity_{n}")
+
+
+def robertson_block_form(x) -> np.ndarray:
+    """Apply the n=4 map through its 2x2-block shape instead of the superop.
+
+    Writing X in 2x2 blocks [[A, B], [C, D]], the map evaluates to
+    (1/2) [[I tr D, -(B + r(C))], [-(C + r(B)), I tr A]] with
+    r(Y) = I tr Y - Y.  Serves as an independent cross-check of
+    robertson_map, which must agree within 1e-12.
+    """
+    x = as_cmatrix(x, square=True)
+    if x.shape != (4, 4):
+        raise BadDimension(f"expected 4x4, got {x.shape}")
+    a, b = x[:2, :2], x[:2, 2:]
+    c, d = x[2:, :2], x[2:, 2:]
+    eye = np.eye(2, dtype=np.complex128)
+
+    def r(y):
+        return eye * np.trace(y) - y
+
+    out = np.empty((4, 4), dtype=np.complex128)
+    out[:2, :2] = eye * np.trace(d)
+    out[:2, 2:] = -(b + r(c))
+    out[2:, :2] = -(c + r(b))
+    out[2:, 2:] = eye * np.trace(a)
+    return 0.5 * out
+
+
+def apply_via_choi(c, x) -> np.ndarray:
+    """Phi(X)[k,l] = sum_ij X[i,j] C[(i,k),(j,l)]; contraction route."""
+    c = as_cmatrix(c, square=True)
+    x = as_cmatrix(x, square=True)
+    n = x.shape[0]
+    if c.shape[0] != n * n:
+        raise DimensionMismatch(f"Choi side {c.shape[0]} does not match n={n}")
+    c4 = c.reshape(n, n, n, n)
+    return np.einsum("ij,ikjl->kl", x, c4)
+
+
+def eigenphase_pairs(u) -> list[tuple[float, float]]:
+    """Eigenphases of U grouped as (beta, beta + pi), beta in [0, pi).
+
+    The (lam, -lam) pairing of the spectrum is certified with residual
+    |lam_i + lam_j| <= antisym.DECOMPOSE_TOL; PairingFailed otherwise.
+    Sorted by beta.
+    """
+    if not isinstance(u, AntisymmetricUnitary):
+        u = certify_antisymmetric_unitary(u)
+    lam = np.linalg.eigvals(u.matrix)
+    phases = np.angle(lam)
+    betas = [_select_representative(phases, i, j)[0]
+             for i, j in _pair_indices(lam)]
+    return sorted((b, b + np.pi) for b in betas)
+
+
+def unitary_covariance_check(n: int, seed: int = 0,
+                             budget: int | None = None) -> bool:
+    """Saturated N-dimension is invariant under U -> V u0 V^T.
+
+    Draws one Haar V from the seed and compares the saturated N estimates
+    of the map built from V u0 V^T and from u0 itself.
+    """
+    rng = make_rng(seed)
+    phi_ref = breuer_hall(u0(n))
+    phi_rnd = breuer_hall(random_antisymmetric_unitary(rng, n))
+    a = estimate_N_dim(phi_ref, budget=budget, seed=seed)
+    b = estimate_N_dim(phi_rnd, budget=budget, seed=seed + 1)
+    if not (a.saturated and b.saturated):
+        raise InconsistentResult("covariance check did not saturate; raise budget")
+    return a.achieved_dim == b.achieved_dim

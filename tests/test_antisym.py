@@ -8,11 +8,12 @@ from posmaps import (
     OddDimension,
     canonical_decompose,
     certify_antisymmetric_unitary,
-    eigenphase_pairs,
     make_rng,
     random_antisymmetric_unitary,
     u0,
 )
+
+from oracles import eigenphase_pairs
 
 ISY = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 

@@ -132,6 +132,24 @@ class TestVerify:
         assert code == 2
         assert "SEED" in err
 
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch):
+        # exit 1 is the FAIL code, so a seed the RNG rejects must not use it
+        code, out, err = run(capsys, "verify", "bh-random-exposed",
+                             "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "seed" in err
+        monkeypatch.setenv("SEED", "-2")
+        code, out, err = run(capsys, "span", "--map", "robertson")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "seed" in err
+
+    def test_negative_seed_without_draws_still_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "example1-transpose",
+                           "--seed", "-1")
+        assert code == 0
+        assert out.startswith("[PASS] example1-transpose")
+        assert out.rstrip().endswith("seed=-1")
+
     def test_unknown_check_usage_error(self, capsys):
         assert run(capsys, "verify", "no-such-check")[0] == 2
 
@@ -200,6 +218,22 @@ class TestSpan:
         _, out, _ = run(capsys, "span", "--map", "transpose",
                         "--tol-rank", "1e-7", "--format", "json")
         assert json.loads(out)["tolerances"]["rank"] == 1e-7
+
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "M", "--tol-rank", "0"),
+        ("--kind", "M", "--tol-rank", "nan"),
+        ("--kind", "M", "--tol-rank", "-1"),
+        ("--kind", "M", "--tol-rank", "1"),
+        ("--kind", "M", "--tol-kernel", "nan"),
+        ("--kind", "M", "--tol-kernel", "-1"),
+        ("--kind", "M", "--tol-kernel", "inf"),
+    ])
+    def test_invalid_tolerance_is_usage_error(self, capsys, flags):
+        # each of these used to report a saturated span, some of them
+        # above the a-priori bound
+        code, out, err = run(capsys, "span", "--map", "transpose", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerances must be finite")
 
     def test_unknown_map(self, capsys):
         assert run(capsys, "span", "--map", "bogus")[0] == 2

@@ -6,7 +6,6 @@ from posmaps import (
     MapRep,
     breuer_hall,
     commutant_of_range,
-    identity_map,
     is_irreducible,
     make_rng,
     map_from_action,
@@ -22,6 +21,8 @@ from posmaps import (
 )
 from posmaps import commutant
 from posmaps.commutant import _probe_images, _system
+
+from oracles import identity_map
 
 
 def pinch_map(n):
@@ -201,7 +202,7 @@ class TestCommutant:
         rng = make_rng(4)
         monkeypatch.setattr(
             commutant, "nullspace",
-            lambda m, tol: random_unit_vector(rng, m.shape[1])[:, None])
+            lambda m: random_unit_vector(rng, m.shape[1])[:, None])
         with pytest.raises(InconsistentResult, match="identity missing"):
             commutant_of_range(robertson_map())
 

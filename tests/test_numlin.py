@@ -8,6 +8,8 @@ from posmaps import (
     EmptyFamily,
     NotHermitian,
     SpanAccumulator,
+    Tolerances,
+    ToolkitError,
     family_rank,
     hermitian_eig,
     make_rng,
@@ -227,7 +229,25 @@ class TestSpanAccumulator:
         assert acc.dim == 20
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("field", ["rank", "kernel", "herm"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_rejects_nonpositive_or_nonfinite(self, field, value):
+        with pytest.raises(ToolkitError, match="finite and > 0"):
+            Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("rank", [1.0, 2.0])
+    def test_rejects_relative_rank_of_one_or_more(self, rank):
+        with pytest.raises(ToolkitError, match="rank < 1"):
+            Tolerances(rank=rank)
+
+
 class TestSampling:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ToolkitError, match="seed must be >= 0"):
+            make_rng(-1)
+
     def test_determinism(self):
         a = random_unit_vector(make_rng(42), 4)
         b = random_unit_vector(make_rng(42), 4)

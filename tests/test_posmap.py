@@ -8,10 +8,8 @@ from posmaps import (
     MapRep,
     NotAntisymmetricUnitary,
     OddDimension,
-    apply_via_choi,
     breuer_hall,
     choi,
-    identity_map,
     make_rng,
     map_from_action,
     map_from_choi,
@@ -19,7 +17,6 @@ from posmaps import (
     random_antisymmetric_unitary,
     random_unit_vector,
     reduction_map,
-    robertson_block_form,
     robertson_map,
     superop_from_choi,
     trace_map,
@@ -28,6 +25,8 @@ from posmaps import (
     unvec,
     vec,
 )
+
+from oracles import apply_via_choi, identity_map, robertson_block_form
 
 
 def proj(x):

@@ -90,6 +90,14 @@ def test_rejected_input_exits_2(capsys, name, argv):
     assert last.startswith("error: ") and "even dimension" in last
 
 
+@pytest.mark.parametrize("name", ["dn_table", "bh_exposedness_scan"])
+def test_negative_seed_exits_2(capsys, name):
+    assert load_script(name).main(["--n", "4", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("name, argv", [
     ("dn_table", ["--n", "4"]),
     ("bh_exposedness_scan", ["--n", "4", "--draws", "1"]),

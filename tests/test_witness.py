@@ -30,9 +30,10 @@ from posmaps import (
     trace_map,
     transpose_map,
     u0,
-    unitary_covariance_check,
 )
 from posmaps.reports import FAIL, INCONCLUSIVE, PASS
+
+from oracles import unitary_covariance_check
 
 
 def pair_residual(phi, x, y):
