@@ -20,6 +20,27 @@ from .errors import ToolkitError
 from .numlin import DEFAULT_TOLS, Tolerances, make_rng
 from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
+# Largest array, in bytes, a command may ask for.  Each command checks the
+# shapes its --n (or its input file) implies before it allocates them.
+MAX_ARRAY_BYTES = 2 * 1024 ** 3
+
+
+def _check_bytes(what: str, nbytes: int) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ToolkitError(
+            f"{what} needs {nbytes / 1024 ** 3:.1f} GiB, above the "
+            f"{MAX_ARRAY_BYTES / 1024 ** 3:.0f} GiB limit")
+
+
+def _superop_bytes(n: int) -> int:
+    """A complex n^2 x n^2 superoperator (or Choi matrix)."""
+    return 16 * n ** 4
+
+
+def _span_bytes(n: int, kind: str = "N") -> int:
+    """A span buffer at its cap: ambient^2 complex entries, ambient n^3 or n^2."""
+    return 16 * n ** (6 if kind == "N" else 4)
+
 
 def _family_rank_check(family: str, expect: int, printed: str | None = None,
                        count: int | None = None):
@@ -170,21 +191,27 @@ def _positivity_sample(seed, ns, budget):
             {"kernel": DEFAULT_TOLS.kernel})
 
 
-# check name -> (runner, default --n).  A runner maps (seed, ns, budget) to
-# (status, measured, expected, tolerances).  ns is () for checks that ignore
-# --n, and a single int for checks that take exactly one value.
+# check name -> (runner, default --n, bytes of the largest array at one n).
+# A runner maps (seed, ns, budget) to (status, measured, expected,
+# tolerances).  ns is () for checks that ignore --n, and a single int for
+# checks that take exactly one value.
 CHECKS = {
     "example1-transpose": (
-        _family_rank_check("example1", 6, printed="example1-printed"), ()),
-    "example2-reduction": (_family_rank_check("example2", 6), ()),
-    "prop3-robertson-60": (_family_rank_check("prop3", 60, count=60), ()),
-    "robertson-irreducible": (_robertson_irreducible, ()),
-    "robertson-strong-spanning": (_robertson_strong_spanning, ()),
-    "bh-random-exposed": (_bh_random_exposed, 4),
-    "reduction-n-fails": (_reduction_n_fails, 3),
-    "dn-table": (_dn_table, (4, 6, 8)),
-    "canonical-form-roundtrip": (_canonical_form_roundtrip, (4, 6, 8)),
-    "positivity-sample": (_positivity_sample, (4, 6)),
+        _family_rank_check("example1", 6, printed="example1-printed"), (),
+        None),
+    "example2-reduction": (_family_rank_check("example2", 6), (), None),
+    "prop3-robertson-60": (_family_rank_check("prop3", 60, count=60), (),
+                           None),
+    "robertson-irreducible": (_robertson_irreducible, (), None),
+    "robertson-strong-spanning": (_robertson_strong_spanning, (), None),
+    "bh-random-exposed": (_bh_random_exposed, 4, _span_bytes),
+    "reduction-n-fails": (_reduction_n_fails, 3, _span_bytes),
+    "dn-table": (_dn_table, (4, 6, 8), _span_bytes),
+    "canonical-form-roundtrip": (_canonical_form_roundtrip, (4, 6, 8),
+                                 lambda n: 16 * n * n),
+    # the superop; the 10_000 x n^2 batches of sampled states are smaller
+    # wherever the superop fits
+    "positivity-sample": (_positivity_sample, (4, 6), _superop_bytes),
 }
 
 
@@ -195,9 +222,10 @@ def run_check(name: str, seed: int, n_arg: str | None,
     --n is parsed only for checks that read it.  There an explicit list with
     no entries is a usage error: running such a check over nothing would
     report a PASS that checked nothing.  So is a list of several values for a
-    check that takes one, which would otherwise check only the first.
+    check that takes one, which would otherwise check only the first.  Every
+    value is checked against MAX_ARRAY_BYTES before the check runs.
     """
-    runner, ns = CHECKS[name]
+    runner, ns, largest = CHECKS[name]
     if ns and n_arg is not None:
         try:
             values = tuple(int(tok) for tok in n_arg.split(",") if tok.strip())
@@ -205,6 +233,8 @@ def run_check(name: str, seed: int, n_arg: str | None,
             raise ToolkitError(f"bad n list {n_arg!r}") from exc
         if not values:
             raise ToolkitError(f"{name} needs at least one --n value")
+        for n in values:
+            _check_bytes(f"{name} at n={n}", largest(n))
         if isinstance(ns, int):
             if len(values) > 1:
                 raise ToolkitError(
@@ -271,6 +301,8 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 def _resolve_map(spec: str, n: int | None, seed: int,
                  file_form: str = "superop") -> posmap.MapRep:
+    if n is not None:
+        _check_bytes(f"the n={n} superoperator", _superop_bytes(n))
     if spec == "transpose":
         return posmap.transpose_map(n if n is not None else 2)
     if spec == "reduction":
@@ -313,6 +345,7 @@ def _cmd_verify(args) -> int:
 def _cmd_span(args) -> int:
     seed = _resolve_seed(args.seed)
     phi = _resolve_map(args.map_spec, args.n, seed, args.file_form)
+    _check_bytes(f"the n={phi.n} {args.kind} span", _span_bytes(phi.n, args.kind))
     tols = Tolerances(rank=args.tol_rank, kernel=args.tol_kernel)
     est = witness.estimate_N_dim if args.kind == "N" else witness.estimate_M_dim
     rep = est(phi, budget=args.budget, seed=seed, tols=tols)

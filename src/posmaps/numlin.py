@@ -35,10 +35,26 @@ class Tolerances:
     def __post_init__(self):
         from .errors import ToolkitError
 
-        valid = all(math.isfinite(t) and t > 0 for t in astuple(self))
-        if not valid or self.rank >= 1:
+        valid = all(_valid_cutoff(t) for t in astuple(self))
+        if not valid or not _valid_cutoff(self.rank, relative=True):
             raise ToolkitError(
                 f"tolerances must be finite and > 0, with rank < 1; got {self}")
+
+
+def _valid_cutoff(t: float, relative: bool = False) -> bool:
+    """Finite and > 0, and < 1 for a cutoff relative to a norm."""
+    return math.isfinite(t) and t > 0 and (t < 1 or not relative)
+
+
+def _check_cutoff(name: str, t: float, relative: bool = False) -> float:
+    """t as a float, or ToolkitError by the rule Tolerances applies."""
+    from .errors import ToolkitError
+
+    t = float(t)
+    if not _valid_cutoff(t, relative):
+        bound = " and < 1" if relative else ""
+        raise ToolkitError(f"{name} must be finite and > 0{bound}, got {t}")
+    return t
 
 
 DEFAULT_TOLS = Tolerances()
@@ -60,10 +76,12 @@ def hermitian_eig(m, tol_herm: float = DEFAULT_TOLS.herm):
     """Eigendecomposition of a Hermitian matrix, certifying hermiticity first.
 
     Returns (w, v) as np.linalg.eigh does (ascending eigenvalues).
-    Raises NotHermitian if max|m - m^dag| exceeds tol_herm.
+    Raises NotHermitian if max|m - m^dag| exceeds tol_herm, and
+    ToolkitError if tol_herm is not finite and > 0.
     """
     from .errors import NotHermitian
 
+    tol_herm = _check_cutoff("tol_herm", tol_herm)
     m = as_cmatrix(m, square=True)
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > tol_herm:
@@ -117,7 +135,13 @@ class SpanAccumulator:
 
     try_add projects the candidate onto the orthogonal complement of the
     current basis (twice, for numerical stability) and keeps the residual
-    iff its norm stays above tol relative to the candidate's norm.
+    iff its norm stays above tol relative to the candidate's norm.  tol
+    must be finite, > 0 and < 1, or ToolkitError is raised.
+
+    stage(rows) does the expensive part of that projection for a block of
+    candidates at once: two GEMM passes against the basis as it stands.
+    try_add then finishes a vector equal to the next staged row against
+    only the rows added since; any other vector gets the full projection.
 
     The basis lives in the first dim rows of a row buffer that doubles
     when full, capped at ambient_dim, so memory follows the span's size.
@@ -129,9 +153,13 @@ class SpanAccumulator:
         if ambient_dim < 1:
             raise BadDimension(f"ambient_dim must be >= 1, got {ambient_dim}")
         self.ambient_dim = int(ambient_dim)
-        self.tol = float(tol)
+        self.tol = _check_cutoff("tol", tol, relative=True)
         self._buf = np.zeros((0, self.ambient_dim), dtype=np.complex128)
         self._dim = 0
+        # stage(): copied rows, their residuals, the dim they were projected
+        # at, and the index of the next row try_add expects
+        self._staged = self._residuals = None
+        self._mark = self._next = 0
 
     @property
     def dim(self) -> int:
@@ -141,6 +169,41 @@ class SpanAccumulator:
     def basis(self) -> np.ndarray:
         """Current orthonormal basis, one vector per row (copy)."""
         return self._buf[:self._dim].copy()
+
+    def _project(self, r: np.ndarray, start: int) -> np.ndarray:
+        """r (one vector, or one per row) minus its part along basis rows start:dim."""
+        b = self._buf[start:self._dim]
+        for _ in range(2):  # reorthogonalize: one pass leaks for near-parallel input
+            # r @ conj(b).T without copying b: conj(conj(r) @ b.T)
+            r = r - (r.conj() @ b.T).conj() @ b
+        return r
+
+    def stage(self, rows) -> None:
+        """Project a block of candidates against the current basis ahead of try_add.
+
+        rows holds one candidate per row; they are copied, so later changes
+        to the caller's array cannot pair a vector with a stale residual.
+        """
+        from .errors import DimensionMismatch
+
+        rows = np.array(rows, dtype=np.complex128)
+        if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
+            raise DimensionMismatch(
+                f"rows of shape {rows.shape} in ambient dim {self.ambient_dim}")
+        self._staged = rows
+        self._residuals = self._project(rows, 0)
+        self._mark, self._next = self._dim, 0
+
+    def _residual(self, r: np.ndarray) -> np.ndarray:
+        """r projected off the whole basis, from its staged residual when it has one."""
+        staged = self._staged
+        if staged is None or not np.array_equal(r, staged[self._next]):
+            return self._project(r, 0)
+        r = self._project(self._residuals[self._next], self._mark)
+        self._next += 1
+        if self._next == len(staged):
+            self._staged = self._residuals = None
+        return r
 
     def try_add(self, v) -> bool:
         """Add v's new direction if any; return True iff dim grew."""
@@ -153,17 +216,14 @@ class SpanAccumulator:
         scale = np.linalg.norm(r)
         if scale == 0.0 or self._dim == self.ambient_dim:
             return False
-        b = self._buf[:self._dim]
-        for _ in range(2):  # reorthogonalize: one pass leaks for near-parallel input
-            # conj(b) @ r without copying b: conj(b @ conj(r))
-            r = r - b.T @ (b @ r.conj()).conj()
+        r = self._residual(r)
         rnorm = np.linalg.norm(r)
         if rnorm <= self.tol * scale:
             return False
         if self._dim == self._buf.shape[0]:
             grown = np.empty((min(2 * self._dim or 1, self.ambient_dim),
                               self.ambient_dim), dtype=np.complex128)
-            grown[:self._dim] = b
+            grown[:self._dim] = self._buf[:self._dim]
             self._buf = grown
         self._buf[self._dim] = r / rnorm
         self._dim += 1

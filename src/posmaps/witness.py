@@ -22,6 +22,7 @@ from .errors import (
     EmptyFamily,
     InconsistentResult,
     NonpositiveState,
+    ToolkitError,
     UnknownFamily,
 )
 from .numlin import (
@@ -39,6 +40,8 @@ from .reports import FAIL, INCONCLUSIVE, PASS
 # consecutive sample vectors allowed to add no dimension before the
 # estimator declares saturation
 SATURATION_WINDOW = 64
+# samples whose candidates are projected against the basis together
+SPAN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,14 @@ def _grid_vectors(n: int):
         yield s * (eye[k] - 1j * eye[l])
 
 
+def _generators(phi: MapRep, kind: str, x: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """One row per kernel vector y of Phi(P_x): kron(x, y) for M, kron(x, xbar, y) for N."""
+    ys = kernel_of_state(phi, x, tols).T
+    w = x if kind == "M" else np.outer(x, x.conj()).ravel()
+    k, n = ys.shape
+    return (w[None, :, None] * ys[:, None, :]).reshape(k, w.size * n)
+
+
 def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
               tols: Tolerances) -> SpanReport:
     n = phi.n
@@ -144,19 +155,32 @@ def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
     used = 0
     misses = 0
     saturated = False
-    for x in xs:
-        if used >= budget:
-            break
-        used += 1
-        grew = False
-        for y in kernel_of_state(phi, x, tols).T:
-            g = np.kron(x, y) if kind == "M" else np.kron(np.kron(x, x.conj()), y)
-            if acc.try_add(g):
-                grew = True
-        misses = 0 if grew else misses + 1
-        if acc.dim == ambient or misses >= SATURATION_WINDOW:
-            saturated = True
-            break
+    while used < budget and not saturated:
+        # Harvest a block and stage its candidates in one projection.  Sized
+        # so that a window or budget stop lands on the block's last sample;
+        # only a full span can stop earlier and leave samples unused.
+        size = min(SPAN_BLOCK, SATURATION_WINDOW - misses, budget - used)
+        block, error = [], None
+        for x in itertools.islice(xs, size):
+            try:
+                block.append(_generators(phi, kind, x, tols))
+            except ToolkitError as exc:  # raised only if the loop reaches x
+                error = exc
+                break
+        if block:
+            acc.stage(np.concatenate(block))
+        for gens in block:
+            used += 1
+            grew = False
+            for g in gens:
+                if acc.try_add(g):
+                    grew = True
+            misses = 0 if grew else misses + 1
+            if acc.dim == ambient or misses >= SATURATION_WINDOW:
+                saturated = True
+                break
+        if error is not None and not saturated:
+            raise error
     return SpanReport(map_name=phi.name, kind=kind, target_dim=target,
                       ambient_dim=ambient, achieved_dim=acc.dim,
                       samples_used=used, saturated=saturated, seed=seed,

@@ -3,8 +3,11 @@
 Each computes something the package already computes, by a second route,
 so that a test can compare the two: the n=4 map through its 2x2-block
 shape, a map applied through its Choi matrix, the eigenphases of an
-antisymmetric unitary, and the unitary covariance of the N-dimension.
+antisymmetric unitary, the unitary covariance of the N-dimension, and the
+span estimator one candidate at a time, with no staging.
 """
+
+import itertools
 
 import numpy as np
 
@@ -22,7 +25,8 @@ from posmaps import (
     u0,
 )
 from posmaps.antisym import _pair_indices, _select_representative
-from posmaps.numlin import as_cmatrix
+from posmaps.numlin import DEFAULT_TOLS, SpanAccumulator, as_cmatrix, random_unit_vector
+from posmaps.witness import SATURATION_WINDOW, _grid_vectors, kernel_of_state
 
 
 def identity_map(n: int) -> MapRep:
@@ -98,3 +102,37 @@ def unitary_covariance_check(n: int, seed: int = 0,
     if not (a.saturated and b.saturated):
         raise InconsistentResult("covariance check did not saturate; raise budget")
     return a.achieved_dim == b.achieved_dim
+
+
+def sequential_estimate(phi: MapRep, kind: str, budget: int | None = None,
+                        seed: int = 0, tols=DEFAULT_TOLS) -> tuple[int, int, bool]:
+    """(achieved_dim, samples_used, saturated) of the span estimator, one sample at a time.
+
+    Harvests each sample's kernel only when the loop reaches it and feeds
+    every candidate, built with np.kron, to try_add with nothing staged.
+    """
+    n = phi.n
+    ambient = n * n if kind == "M" else n ** 3
+    if budget is None:
+        budget = 10 * n ** 3
+    rng = make_rng(seed)
+    acc = SpanAccumulator(ambient, tols.rank)
+    xs = itertools.chain(_grid_vectors(n),
+                         (random_unit_vector(rng, n) for _ in itertools.count()))
+    used = 0
+    misses = 0
+    saturated = False
+    for x in xs:
+        if used >= budget:
+            break
+        used += 1
+        grew = False
+        for y in kernel_of_state(phi, x, tols).T:
+            g = np.kron(x, y) if kind == "M" else np.kron(np.kron(x, x.conj()), y)
+            if acc.try_add(g):
+                grew = True
+        misses = 0 if grew else misses + 1
+        if acc.dim == ambient or misses >= SATURATION_WINDOW:
+            saturated = True
+            break
+    return acc.dim, used, saturated

@@ -2,8 +2,9 @@
 
 perfbench/ wraps posmaps functions by (owner, attribute) and requires some
 of them to fire in each workload.  A refactor that renames or drops one of
-them would otherwise surface only on a traced benchmark run.  The benchmark
-files are imported, never changed.
+them, or that stops calling one (say, a span estimator that bypasses
+SpanAccumulator.try_add), would otherwise surface only on a traced benchmark
+run.  The benchmark files are imported, never changed.
 """
 
 import importlib.util
@@ -40,3 +41,16 @@ def test_required_spans_are_wrapped(tmp_path, workload):
     w = workloads.WORKLOADS[workload](1, str(tmp_path))
     assert w.required <= spans
     assert w.required
+
+
+def test_strong_span_certificate_fires_every_required_span(tmp_path):
+    w = workloads.WORKLOADS["strong-span"](1, str(tmp_path))
+    cert = w.round(0)[0]
+    assert cert.label == "bh-N n=4"
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        ok, decision = cert.run()
+    assert ok
+    assert w.required <= tracer.fired()
+    # one accepted try_add per direction of the 60-dimensional N span
+    assert tracer.counts["numlin.try_add.accepted"] == 60

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import posmaps
-from posmaps import commutant, load_matrix, robertson_map, save_matrix, choi, u0
+from posmaps import (antisym, cli, commutant, load_matrix, posmap, robertson_map,
+                     save_matrix, choi, u0, witness)
 from posmaps.cli import CHECKS, bh_exposedness, main
 from posmaps.reports import (
     FAIL,
@@ -240,6 +241,72 @@ class TestSpan:
 
     def test_robertson_wrong_n(self, capsys):
         assert run(capsys, "span", "--map", "robertson", "--n", "6")[0] == 2
+
+
+class TestSizeGuard:
+    """Inputs whose arrays would pass MAX_ARRAY_BYTES exit 2 before allocating."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        # a guard that lets one of these inputs through fails the test here,
+        # instead of asking the machine for tens of GB
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached an allocation past the guard")
+        for owner, attr in ((posmap, "transpose_map"), (posmap, "reduction_map"),
+                            (posmap, "breuer_hall"), (posmap, "map_from_action"),
+                            (antisym, "random_antisymmetric_unitary"),
+                            (witness, "estimate_N_dim"), (witness, "estimate_M_dim")):
+            monkeypatch.setattr(owner, attr, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("map-export", "--map", "transpose", "--n", "200", "--out", "x.json"),
+        ("map-export", "--map", "breuer-hall", "--n", "200", "--form", "choi",
+         "--out", "x.json"),
+        ("span", "--map", "transpose", "--n", "200", "--kind", "M"),
+        ("verify", "dn-table", "--n", "30"),
+        ("verify", "dn-table", "--n", "4,6,30"),
+        ("verify", "bh-random-exposed", "--n", "24"),
+        ("verify", "reduction-n-fails", "--n", "24"),
+        ("verify", "positivity-sample", "--n", "200"),
+        ("verify", "canonical-form-roundtrip", "--n", "20000"),
+        ("verify", "all", "--n", "30"),
+    ])
+    def test_oversized_input_exits_2(self, capsys, tmp_path, monkeypatch,
+                                     no_build, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "GiB limit" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_n_span_checked_after_the_superop(self, capsys):
+        # n=30 passes the superop check (13 MB) but not the N span buffer
+        code, out, err = run(capsys, "span", "--map", "breuer-hall", "--n", "30")
+        assert code == 2 and out == ""
+        assert "N span needs 10.9 GiB" in err
+
+    def test_file_map_span_checked(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "rob.json"
+        save_matrix(path, robertson_map().superop)
+        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 16 * 4 ** 6 - 1)
+        code, _, err = run(capsys, "span", "--map", f"file:{path}", "--kind", "N")
+        assert code == 2 and "N span" in err
+        code, out, _ = run(capsys, "span", "--map", f"file:{path}", "--kind", "M")
+        assert code == 0 and "achieved_dim=16" in out
+
+    @pytest.mark.parametrize("check, largest_ok", [
+        ("dn-table", 22), ("bh-random-exposed", 22), ("reduction-n-fails", 22),
+        ("positivity-sample", 107), ("canonical-form-roundtrip", 11585)])
+    def test_limit_is_tight(self, capsys, monkeypatch, check, largest_ok):
+        ran = []
+        runner, ns, largest = CHECKS[check]
+        monkeypatch.setitem(CHECKS, check, (
+            lambda seed, n, budget: ran.append(n) or (cli.PASS, {}, {}, {}),
+            ns, largest))
+        assert run(capsys, "verify", check, "--n", str(largest_ok))[0] == 0
+        assert run(capsys, "verify", check, "--n", str(largest_ok + 1))[0] == 2
+        assert len(ran) == 1
 
 
 class TestMapExport:

@@ -229,6 +229,107 @@ class TestSpanAccumulator:
         assert acc.dim == 20
 
 
+    def test_rejects_member_after_growth_past_stage(self):
+        # the staged residuals no longer see the rows added after stage(),
+        # but try_add finishes the projection against them
+        rng = make_rng(12)
+        acc = SpanAccumulator(32)
+        rows = np.array([random_unit_vector(rng, 32) for _ in range(8)])
+        acc.stage(rows)
+        for v in rows:
+            assert acc.try_add(v) is True
+        acc.stage(np.concatenate([rows, rows[::-1] * 1j]))
+        for v in rows:
+            assert acc.try_add(v) is False
+        for v in rows[::-1] * 1j:
+            assert acc.try_add(v) is False
+        assert acc.dim == 8
+
+
+BAD_CUTOFFS = [-1.0, 0.0, float("nan"), float("inf")]
+
+
+class TestCutoffs:
+    @pytest.mark.parametrize("tol", BAD_CUTOFFS + [1.0, 1.5])
+    def test_span_rejects_bad_tol(self, tol):
+        with pytest.raises(ToolkitError, match="finite and > 0 and < 1"):
+            SpanAccumulator(4, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_CUTOFFS)
+    def test_hermitian_eig_rejects_bad_tol(self, tol):
+        skewed = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ToolkitError, match="finite and > 0"):
+            hermitian_eig(skewed, tol_herm=tol)
+        with pytest.raises(ToolkitError, match="finite and > 0"):
+            hermitian_eig(np.eye(2), tol_herm=tol)
+
+    def test_valid_cutoffs_still_accepted(self):
+        assert SpanAccumulator(4, tol=0.5).tol == 0.5
+        w, _ = hermitian_eig(np.array([[1.0, 1e-3], [0.0, 1.0]]), tol_herm=2.0)
+        assert np.allclose(w, [1 - 5e-4, 1 + 5e-4])
+
+
+class TestStage:
+    """stage() must never let try_add skip basis rows."""
+
+    def filled(self, dim, count, seed):
+        rng = make_rng(seed)
+        acc = SpanAccumulator(dim)
+        for _ in range(count):
+            assert acc.try_add(random_unit_vector(rng, dim))
+        return acc, rng
+
+    def test_unstaged_vector_in_old_span_rejected(self):
+        acc, rng = self.filled(16, 6, 0)
+        old = acc.basis
+        acc.stage(np.array([random_unit_vector(rng, 16) for _ in range(3)]))
+        inside = (1 + 2j) * old[0] - 0.5 * old[3] + old[5]
+        assert acc.try_add(inside) is False
+        assert acc.dim == 6
+
+    def test_out_of_order_rows_take_full_projection(self):
+        acc, rng = self.filled(16, 6, 1)
+        a, b = (random_unit_vector(rng, 16) for _ in range(2))
+        acc.stage(np.array([a, b]))
+        # b first: it is not the next staged row, so a's residual must not
+        # be used for it
+        assert acc.try_add(b) is True
+        assert acc.try_add(b) is False
+        assert acc.try_add(a) is True
+        assert acc.try_add(a) is False
+        assert acc.try_add(a + b) is False
+        q = acc.basis
+        for v in (a, b):
+            assert np.linalg.norm(v - (q.conj() @ v) @ q) <= 1e-12
+        assert np.abs(q.conj() @ q.T - np.eye(8)).max() <= 1e-12
+
+    def test_staged_rows_are_copied(self):
+        acc, rng = self.filled(16, 6, 2)
+        rows = np.array([random_unit_vector(rng, 16) for _ in range(2)])
+        acc.stage(rows)
+        rows[0] = acc.basis[2]  # now inside the span; its staged residual is not
+        assert acc.try_add(rows[0]) is False
+        assert acc.dim == 6
+
+    def test_staged_matches_unstaged(self):
+        rng = make_rng(3)
+        a, b = SpanAccumulator(40), SpanAccumulator(40)
+        gen = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
+        mix = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+        for block in np.split(np.concatenate([gen @ mix, rng.standard_normal((30, 40))]), 6):
+            a.stage(block)
+            for v in block:
+                assert a.try_add(v) == b.try_add(v)
+        assert a.dim == b.dim == 35
+        assert np.abs(a.basis.conj() @ a.basis.T - np.eye(35)).max() <= 1e-12
+
+    def test_stage_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            SpanAccumulator(4).stage(np.ones((2, 5)))
+        with pytest.raises(DimensionMismatch):
+            SpanAccumulator(4).stage(np.ones(4))
+
+
 class TestTolerances:
     @pytest.mark.parametrize("field", ["rank", "kernel", "herm"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"),

@@ -31,9 +31,11 @@ from posmaps import (
     transpose_map,
     u0,
 )
+from posmaps import witness
 from posmaps.reports import FAIL, INCONCLUSIVE, PASS
+from posmaps.witness import SPAN_BLOCK
 
-from oracles import unitary_covariance_check
+from oracles import sequential_estimate, unitary_covariance_check
 
 
 def pair_residual(phi, x, y):
@@ -240,6 +242,101 @@ class TestSpanEstimates:
             a = 0.3 * np.outer(h, h.conj()) + 0.7 * np.outer(g, g.conj())
             assert np.linalg.norm(phi.apply(a) @ h) <= 1e-12
             assert not acc.try_add(np.kron(a.ravel(), h))
+
+
+def outcome(rep):
+    return rep.achieved_dim, rep.samples_used, rep.saturated
+
+
+def estimate(phi, kind, **kwargs):
+    return (estimate_M_dim if kind == "M" else estimate_N_dim)(phi, **kwargs)
+
+
+def count_kernel_calls(monkeypatch, fail_after=None, error=NonpositiveState):
+    """Count witness.kernel_of_state calls; raise error past fail_after."""
+    calls = []
+    real = witness.kernel_of_state
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if fail_after is not None and len(calls) > fail_after:
+            raise error("look-ahead sample")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "kernel_of_state", wrapped)
+    return calls
+
+
+def principal_sine(a, b):
+    """Sine of the largest principal angle between two orthonormal row bases."""
+    return float(np.linalg.norm(a - (a @ b.conj().T) @ b, 2))
+
+
+class TestBlockedEstimate:
+    """The blocked estimator against the one-sample-at-a-time oracle."""
+
+    @pytest.mark.parametrize("n, seeds", [(4, range(4)), (6, range(3)),
+                                          (8, range(2))])
+    def test_breuer_hall_matches_sequential(self, n, seeds):
+        for seed in seeds:
+            phi = breuer_hall(random_antisymmetric_unitary(make_rng(seed + 100), n))
+            rep = estimate_N_dim(phi, seed=seed)
+            assert outcome(rep) == sequential_estimate(phi, "N", seed=seed)
+            assert rep.achieved_dim == dn_formula(n) and rep.saturated
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    @pytest.mark.parametrize("budget", [None, 1, 3, 50, SPAN_BLOCK - 1,
+                                        SPAN_BLOCK, SPAN_BLOCK + 1])
+    def test_named_maps_match_sequential(self, kind, budget):
+        maps = [transpose_map(2), transpose_map(3), reduction_map(2),
+                reduction_map(3), trace_map(2), robertson_map(),
+                breuer_hall(random_antisymmetric_unitary(make_rng(7), 4))]
+        for phi in maps:
+            rep = estimate(phi, kind, budget=budget, seed=3)
+            assert outcome(rep) == sequential_estimate(phi, kind, budget, seed=3), phi.name
+
+    def test_staged_and_unstaged_bases_agree(self):
+        rng = make_rng(5)
+        phi = breuer_hall(random_antisymmetric_unitary(rng, 6))
+        samples = []
+        for _ in range(160):
+            x = random_unit_vector(rng, 6)
+            samples.append([np.kron(np.kron(x, x.conj()), y)
+                            for y in kernel_of_state(phi, x).T])
+        staged, plain = SpanAccumulator(216), SpanAccumulator(216)
+        for start in range(0, len(samples), SPAN_BLOCK):
+            block = [g for gens in samples[start:start + SPAN_BLOCK] for g in gens]
+            staged.stage(np.array(block))
+            for g in block:
+                assert staged.try_add(g) == plain.try_add(g)
+        assert staged.dim == plain.dim == dn_formula(6)
+        assert principal_sine(staged.basis, plain.basis) <= 1e-12
+        assert principal_sine(plain.basis, staged.basis) <= 1e-12
+
+    @pytest.mark.parametrize("error", [NonpositiveState, NotHermitian])
+    def test_look_ahead_error_past_stop_is_not_raised(self, monkeypatch, error):
+        # the M span of the n=4 map fills C^16 in the middle of a block, so
+        # the estimator has harvested samples it never uses
+        phi = robertson_map()
+        calls = count_kernel_calls(monkeypatch)
+        rep = estimate_M_dim(phi)
+        assert rep.achieved_dim == rep.ambient_dim and rep.saturated
+        assert rep.samples_used < len(calls) < rep.samples_used + SPAN_BLOCK
+        count_kernel_calls(monkeypatch, fail_after=rep.samples_used, error=error)
+        assert estimate_M_dim(phi).to_dict() == rep.to_dict()
+
+    def test_error_at_a_used_sample_is_raised(self, monkeypatch):
+        rep = estimate_M_dim(robertson_map())
+        count_kernel_calls(monkeypatch, fail_after=rep.samples_used - 1)
+        with pytest.raises(NonpositiveState):
+            estimate_M_dim(robertson_map())
+
+    def test_window_and_budget_stops_harvest_nothing_extra(self, monkeypatch):
+        phi = breuer_hall(random_antisymmetric_unitary(make_rng(2), 6))
+        for budget in (None, 5, SPAN_BLOCK + 1, 100):
+            calls = count_kernel_calls(monkeypatch)
+            rep = estimate_N_dim(phi, budget=budget, seed=1)
+            assert len(calls) == rep.samples_used
 
 
 class TestFamilies:
