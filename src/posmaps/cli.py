@@ -37,6 +37,16 @@ def _superop_bytes(n: int) -> int:
     return 16 * n ** 4
 
 
+# Sampled states per n in `verify positivity-sample`.
+POSITIVITY_TRIALS = 10_000
+
+
+def _positivity_bytes(n: int) -> int:
+    """The superop plus px, wy and px @ superop.T of positivity_sample_test,
+    each POSITIVITY_TRIALS x n^2 complex."""
+    return _superop_bytes(n) + 3 * 16 * POSITIVITY_TRIALS * n ** 2
+
+
 def _span_bytes(n: int, kind: str = "N") -> int:
     """A span buffer at its cap: ambient^2 complex entries, ambient n^3 or n^2."""
     return 16 * n ** (6 if kind == "N" else 4)
@@ -183,10 +193,10 @@ def _positivity_sample(seed, ns, budget):
     for n in ns:
         u = antisym.random_antisymmetric_unitary(rng, n)
         res = posmap.positivity_sample_test(posmap.breuer_hall(u),
-                                            trials=10_000, seed=seed)
+                                            trials=POSITIVITY_TRIALS, seed=seed)
         measured[f"min_value_n{n}"] = res.min_value
         ok = ok and res.min_value >= -DEFAULT_TOLS.kernel
-    return (PASS if ok else FAIL, measured | {"trials": 10_000},
+    return (PASS if ok else FAIL, measured | {"trials": POSITIVITY_TRIALS},
             {"min_value": f">= {-DEFAULT_TOLS.kernel}"},
             {"kernel": DEFAULT_TOLS.kernel})
 
@@ -209,9 +219,7 @@ CHECKS = {
     "dn-table": (_dn_table, (4, 6, 8), _span_bytes),
     "canonical-form-roundtrip": (_canonical_form_roundtrip, (4, 6, 8),
                                  lambda n: 16 * n * n),
-    # the superop; the 10_000 x n^2 batches of sampled states are smaller
-    # wherever the superop fits
-    "positivity-sample": (_positivity_sample, (4, 6), _superop_bytes),
+    "positivity-sample": (_positivity_sample, (4, 6), _positivity_bytes),
 }
 
 

@@ -4,11 +4,16 @@ Schema: {"rows": int, "cols": int, "data": [[re, im], ...]} with data in
 row-major order and re, im JSON numbers (the reader refuses strings and
 booleans).  Non-finite values are rejected on both read and write; the
 reader also refuses the JSON Infinity/NaN literals.
+
+The writer makes one C-encoder call.  The reader type-scans every entry (a
+list of two elements, each exactly int or float) before one `np.array`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +29,32 @@ def save_matrix(path, m) -> None:
     doc = {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        "data": np.column_stack([m.real.ravel(), m.imag.ravel()]).tolist(),
     }
+    text = json.dumps(doc, allow_nan=False, sort_keys=True)
     with open(Path(path), "w", encoding="utf-8") as f:
-        json.dump(doc, f, allow_nan=False, sort_keys=True)
+        f.write(text)
         f.write("\n")
 
 
 def _reject_constant(token: str):
     raise ToolkitError(f"non-finite literal {token!r} in matrix file")
+
+
+def _entry_error(data: list) -> ToolkitError:
+    """The error naming the first malformed entry; runs only on a bad file."""
+    for k, entry in enumerate(data):
+        if type(entry) is not list or len(entry) != 2:
+            return ToolkitError(f"entry {k} is not an [re, im] pair")
+        if not set(map(type, entry)) <= {int, float}:
+            return ToolkitError(f"entry {k} is not a pair of numbers")
+        try:
+            finite = all(map(math.isfinite, entry))
+        except OverflowError:  # an integer literal beyond float range
+            finite = False
+        if not finite:
+            return ToolkitError(f"entry {k} is not finite")
+    return ToolkitError("matrix data is malformed")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -53,18 +75,15 @@ def load_matrix(path) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise DimensionMismatch(
             f"expected {rows * cols} entries, got {len(data) if isinstance(data, list) else 'non-list'}")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for k, entry in enumerate(data):
-        if (not isinstance(entry, list)) or len(entry) != 2:
-            raise ToolkitError(f"entry {k} is not an [re, im] pair")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in entry):
-            raise ToolkitError(f"entry {k} is not a pair of numbers")
-        try:
-            re, im = float(entry[0]), float(entry[1])
-        except OverflowError as exc:  # an integer literal beyond float range
-            raise ToolkitError(f"entry {k} is not finite") from exc
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise ToolkitError(f"entry {k} is not finite")
-        out[k] = complex(re, im)
-    return out.reshape(rows, cols)
+    # the scan is not optional: np.array would convert "1.5" and true silently
+    if not (set(map(type, data)) == {list} and set(map(len, data)) == {2}
+            and set(map(type, chain.from_iterable(data))) <= {int, float}):
+        raise _entry_error(data)
+    try:
+        pairs = np.array(data, dtype=float)
+    except OverflowError as exc:
+        raise _entry_error(data) from exc
+    if not np.isfinite(pairs).all():  # a literal such as 1e400 parses to inf
+        raise _entry_error(data)
+    # row k of pairs is (re, im) of entry k: the memory layout of complex128
+    return pairs.view(np.complex128).reshape(rows, cols)

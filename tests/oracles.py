@@ -3,11 +3,14 @@
 Each computes something the package already computes, by a second route,
 so that a test can compare the two: the n=4 map through its 2x2-block
 shape, a map applied through its Choi matrix, the eigenphases of an
-antisymmetric unitary, the unitary covariance of the N-dimension, and the
-span estimator one candidate at a time, with no staging.
+antisymmetric unitary, the unitary covariance of the N-dimension, the
+span estimator one candidate at a time, with no staging, and the matrix
+file writer one entry at a time.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from posmaps import (
     DimensionMismatch,
     InconsistentResult,
     MapRep,
+    ToolkitError,
     breuer_hall,
     certify_antisymmetric_unitary,
     estimate_N_dim,
@@ -136,3 +140,23 @@ def sequential_estimate(phi: MapRep, kind: str, budget: int | None = None,
             saturated = True
             break
     return acc.dim, used, saturated
+
+
+def save_matrix_per_entry(path, m) -> None:
+    """The matrix file writer one entry at a time.
+
+    Converts each entry to a Python float pair and encodes the document
+    with `json.dump`'s chunked encoder.  `save_matrix` must write the same
+    bytes.
+    """
+    m = as_cmatrix(m)
+    if not np.isfinite(m).all():
+        raise ToolkitError("refusing to write non-finite entries")
+    doc = {
+        "rows": int(m.shape[0]),
+        "cols": int(m.shape[1]),
+        "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+    }
+    with open(Path(path), "w", encoding="utf-8") as f:
+        json.dump(doc, f, allow_nan=False, sort_keys=True)
+        f.write("\n")

@@ -54,3 +54,15 @@ def test_strong_span_certificate_fires_every_required_span(tmp_path):
     assert w.required <= tracer.fired()
     # one accepted try_add per direction of the 60-dimensional N span
     assert tracer.counts["numlin.try_add.accepted"] == 60
+
+
+def test_cli_session_round_trips_the_matrix_file(tmp_path):
+    w = workloads.WORKLOADS["cli-session"](1, str(tmp_path))
+    certs = {cert.label: cert for cert in w.round(0)}
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        exported, _ = certs["map-export"].run()
+        spanned, _ = certs["span file"].run()
+    assert exported and spanned
+    assert {"matio.save_matrix", "matio.load_matrix"} <= tracer.fired()
+    assert tracer.counts["matio.bytes"] > 0

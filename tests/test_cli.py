@@ -254,6 +254,7 @@ class TestSizeGuard:
             raise AssertionError("reached an allocation past the guard")
         for owner, attr in ((posmap, "transpose_map"), (posmap, "reduction_map"),
                             (posmap, "breuer_hall"), (posmap, "map_from_action"),
+                            (posmap, "positivity_sample_test"),
                             (antisym, "random_antisymmetric_unitary"),
                             (witness, "estimate_N_dim"), (witness, "estimate_M_dim")):
             monkeypatch.setattr(owner, attr, refuse)
@@ -270,6 +271,8 @@ class TestSizeGuard:
         ("verify", "positivity-sample", "--n", "200"),
         ("verify", "canonical-form-roundtrip", "--n", "20000"),
         ("verify", "all", "--n", "30"),
+        # a 1.5 GiB superop, but 6.0 GiB with the three batches of sampled states
+        ("verify", "positivity-sample", "--n", "100"),
     ])
     def test_oversized_input_exits_2(self, capsys, tmp_path, monkeypatch,
                                      no_build, argv):
@@ -297,7 +300,7 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("check, largest_ok", [
         ("dn-table", 22), ("bh-random-exposed", 22), ("reduction-n-fails", 22),
-        ("positivity-sample", 107), ("canonical-form-roundtrip", 11585)])
+        ("positivity-sample", 62), ("canonical-form-roundtrip", 11585)])
     def test_limit_is_tight(self, capsys, monkeypatch, check, largest_ok):
         ran = []
         runner, ns, largest = CHECKS[check]
@@ -307,6 +310,19 @@ class TestSizeGuard:
         assert run(capsys, "verify", check, "--n", str(largest_ok))[0] == 0
         assert run(capsys, "verify", check, "--n", str(largest_ok + 1))[0] == 2
         assert len(ran) == 1
+
+    def test_positivity_sample_default_output(self, capsys):
+        # sharing the trial count with the guard leaves the output as it was
+        code, out, _ = run(capsys, "verify", "positivity-sample", "--format", "json")
+        assert code == 0
+        assert out == run(capsys, "verify", "positivity-sample", "--n", "4,6",
+                          "--format", "json")[1]
+        (report,) = json.loads(out)
+        assert report["status"] == "PASS"
+        assert report["measured"] == {
+            "min_value_n4": pytest.approx(0.0024904284354351075, rel=1e-9),
+            "min_value_n6": pytest.approx(0.01781143601129919, rel=1e-9),
+            "trials": 10_000}
 
 
 class TestMapExport:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,15 @@ import pytest
 from posmaps import (
     DimensionMismatch,
     ToolkitError,
+    breuer_hall,
+    choi,
     load_matrix,
     make_rng,
+    random_antisymmetric_unitary,
     save_matrix,
 )
+
+from oracles import save_matrix_per_entry
 
 
 def test_roundtrip_exact(tmp_path):
@@ -26,6 +32,38 @@ def test_file_shape(tmp_path):
     doc = json.loads(p.read_text())
     assert doc == {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, 2.0]]}
     assert p.read_text().endswith("\n")
+
+
+def special_values():
+    # signed zero, the smallest subnormal, near-overflow, a tiny negative,
+    # integral values, and floats with a short and a 16-digit shortest repr
+    v = np.array([-0.0, 5e-324, 1e308, -1e-300, 3.0, 1e16, 0.1, 1 / 3])
+    m = np.empty(8, dtype=np.complex128)
+    m.real, m.imag = v, v[::-1]
+    return m.reshape(2, 4)
+
+
+def random_7x5():
+    rng = make_rng(3)
+    return rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+
+
+def bh_choi_16():
+    return choi(breuer_hall(random_antisymmetric_unitary(make_rng(5), 16)))
+
+
+@pytest.mark.parametrize("build", [special_values, random_7x5, bh_choi_16])
+def test_writer_bytes_match_per_entry_writer(tmp_path, build):
+    m = build()
+    save_matrix(tmp_path / "new.json", m)
+    save_matrix_per_entry(tmp_path / "old.json", m)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    got = load_matrix(tmp_path / "new.json")
+    assert got.dtype == np.complex128 and got.shape == m.shape
+    for part in ("real", "imag"):
+        a, b = getattr(got, part), getattr(m, part)
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_save_rejects_nonfinite(tmp_path):
@@ -61,9 +99,32 @@ def test_load_rejects_malformed(tmp_path):
         '{"rows": true, "cols": 1, "data": [[0, 0]]}',
         '{"rows": 1, "cols": 1, "data": [["1.5", true]]}',
         '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400),
+        '{"rows": 1, "cols": 1, "data": [[0, true]]}',
+        '{"rows": 1, "cols": 1, "data": [[0, "1"]]}',
+        '{"rows": 1, "cols": 1, "data": [[0, 1e400]]}',
+        '{"rows": 1, "cols": 1, "data": [[0, -1e400]]}',
+        '{"rows": 1, "cols": 1, "data": [[0, [0]]]}',
+        '{"rows": 1, "cols": 1, "data": [[0, {}]]}',
+        '{"rows": 1, "cols": 1, "data": [{"re": 0}]}',
+        '{"rows": 1, "cols": 2, "data": [[0, 0], [0]]}',
+        '{"rows": 1, "cols": 2, "data": [[0, 0], [0, 0, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [[0, 1%s]]}' % ("0" * 400),
     ):
         with pytest.raises(ToolkitError):
             load_matrix(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("entry, why", [
+    ("[0]", "is not an [re, im] pair"),
+    ("[0, null]", "is not a pair of numbers"),
+    ("[0, 1e400]", "is not finite"),
+    ("[1%s, 0]" % ("0" * 400), "is not finite"),
+])
+def test_load_names_the_bad_entry(tmp_path, entry, why):
+    p = write(tmp_path, '{"rows": 2, "cols": 2, "data": [[0, 0], [1, 2], '
+                        '[0.5, -1], %s]}' % entry)
+    with pytest.raises(ToolkitError, match=re.escape(f"entry 3 {why}")):
+        load_matrix(p)
 
 
 def test_load_rejects_length_mismatch(tmp_path):
