@@ -62,14 +62,12 @@ from .posmap import (
 from .reports import VerificationReport, exit_code, render_reports, render_text
 from .witness import (
     SATURATION_WINDOW,
-    KernelPair,
     SpanReport,
     dn_bound,
     dn_formula,
     estimate_M_dim,
     estimate_N_dim,
     kernel_of_state,
-    kernel_pairs,
     paper_family,
     paper_family_pairs,
 )

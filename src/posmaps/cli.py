@@ -23,6 +23,11 @@ from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 # Largest array, in bytes, a command may ask for.  Each command checks the
 # shapes its --n (or its input file) implies before it allocates them.
 MAX_ARRAY_BYTES = 2 * 1024 ** 3
+# matio's peaks under tracemalloc (numpy 2.4.6): a save holds 225 B per entry
+# of the n=16 Choi matrix; a load 18x the size of a file of [0, 0] entries,
+# the worst case in the writer's layout (24x with the spaces taken out).
+SAVE_BYTES_PER_ENTRY = 225
+LOAD_BYTES_PER_FILE_BYTE = 18
 
 
 def _check_bytes(what: str, nbytes: int) -> None:
@@ -35,6 +40,11 @@ def _check_bytes(what: str, nbytes: int) -> None:
 def _superop_bytes(n: int) -> int:
     """A complex n^2 x n^2 superoperator (or Choi matrix)."""
     return 16 * n ** 4
+
+
+def _export_bytes(n: int) -> int:
+    """The superoperator, its Choi copy and save_matrix's peak."""
+    return 2 * _superop_bytes(n) + SAVE_BYTES_PER_ENTRY * n ** 4
 
 
 # Sampled states per n in `verify positivity-sample`.
@@ -280,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--budget", type=int, default=None)
     s.add_argument("--tol-rank", type=float, default=DEFAULT_TOLS.rank)
-    s.add_argument("--tol-kernel", type=float, default=DEFAULT_TOLS.kernel)
+    s.add_argument("--tol-kernel", type=float, default=DEFAULT_TOLS.kernel,
+                   help="relative to the largest eigenvalue of Phi(P_x)")
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.add_argument("--strict", action="store_true")
     s.add_argument("--file-form", choices=["superop", "choi"], default="superop",
@@ -324,7 +335,10 @@ def _resolve_map(spec: str, n: int | None, seed: int,
         u = antisym.random_antisymmetric_unitary(make_rng(seed), dim)
         return posmap.breuer_hall(u)
     if spec.startswith("file:"):
-        m = matio.load_matrix(spec[5:])
+        path = spec[5:]
+        _check_bytes(f"loading {path}",
+                     LOAD_BYTES_PER_FILE_BYTE * os.path.getsize(path))
+        m = matio.load_matrix(path)
         if m.shape[0] != m.shape[1]:
             raise ToolkitError(f"map matrix must be square, got {m.shape}")
         if file_form == "choi":
@@ -369,6 +383,8 @@ def _cmd_span(args) -> int:
 
 def _cmd_map_export(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.n is not None:
+        _check_bytes(f"exporting the n={args.n} map", _export_bytes(args.n))
     phi = _resolve_map(args.map_spec, args.n, seed)
     m = posmap.choi(phi) if args.form == "choi" else phi.superop
     matio.save_matrix(args.out, m)

@@ -5,6 +5,9 @@ ways on purpose: a batch SVD rank for one-shot questions, and an
 incremental Gram-Schmidt accumulator for streaming span growth.  Tests
 cross-check one against the other so a silent threshold bug in either
 route gets caught.
+
+Every cutoff is relative to the size of what it cuts, so c Phi gets the
+decisions of Phi for every c > 0.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used across the toolkit.
+    """The two cutoffs a span estimate takes (`span --tol-rank/--tol-kernel`).
 
-    rank : relative singular-value cutoff (fraction of the largest value)
-    kernel : absolute eigenvalue cutoff when harvesting kernels of PSD matrices
-    herm : max-abs deviation allowed when certifying hermiticity
+    rank : singular-value and Gram-Schmidt cutoff, relative to the largest
+        singular value or to the candidate's norm
+    kernel : eigenvalue cutoff when harvesting kernels of PSD matrices,
+        relative to the largest eigenvalue magnitude
 
     Every field must be finite and > 0, and rank < 1; anything else raises
     ToolkitError.  A zero, negative or NaN cutoff would count noise as span
@@ -30,7 +34,6 @@ class Tolerances:
 
     rank: float = 1e-9
     kernel: float = 1e-10
-    herm: float = 1e-12
 
     def __post_init__(self):
         from .errors import ToolkitError
@@ -46,18 +49,19 @@ def _valid_cutoff(t: float, relative: bool = False) -> bool:
     return math.isfinite(t) and t > 0 and (t < 1 or not relative)
 
 
-def _check_cutoff(name: str, t: float, relative: bool = False) -> float:
-    """t as a float, or ToolkitError by the rule Tolerances applies."""
+def _check_cutoff(name: str, t: float) -> float:
+    """t as a float, or ToolkitError unless it is a valid relative cutoff."""
     from .errors import ToolkitError
 
     t = float(t)
-    if not _valid_cutoff(t, relative):
-        bound = " and < 1" if relative else ""
-        raise ToolkitError(f"{name} must be finite and > 0{bound}, got {t}")
+    if not _valid_cutoff(t, relative=True):
+        raise ToolkitError(f"{name} must be finite and > 0 and < 1, got {t}")
     return t
 
 
 DEFAULT_TOLS = Tolerances()
+# max|m - m^dag| allowed, relative to max|m|, before hermitian_eig refuses m
+HERM_TOL = 1e-12
 
 
 def as_cmatrix(a, square: bool = False) -> np.ndarray:
@@ -72,21 +76,24 @@ def as_cmatrix(a, square: bool = False) -> np.ndarray:
     return m
 
 
-def hermitian_eig(m, tol_herm: float = DEFAULT_TOLS.herm):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix, certifying hermiticity first.
 
     Returns (w, v) as np.linalg.eigh does (ascending eigenvalues).
-    Raises NotHermitian if max|m - m^dag| exceeds tol_herm, and
-    ToolkitError if tol_herm is not finite and > 0.
+    Raises NotHermitian if max|m - m^dag| exceeds HERM_TOL * max|m|.
     """
     from .errors import NotHermitian
 
-    tol_herm = _check_cutoff("tol_herm", tol_herm)
     m = as_cmatrix(m, square=True)
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > tol_herm:
-        raise NotHermitian(f"deviation {dev:.3e} exceeds tol {tol_herm:.1e}")
+    if dev > HERM_TOL * np.abs(m).max(initial=0.0):
+        raise NotHermitian(f"deviation {dev:.3e} above {HERM_TOL:.0e} * max|m|")
     return np.linalg.eigh((m + m.conj().T) / 2.0)
+
+
+def _rank(s: np.ndarray) -> int:
+    """How many of the singular values s (descending) pass the rank cut."""
+    return int(np.sum(s > DEFAULT_TOLS.rank * s[0])) if s.size else 0
 
 
 def nullspace(m) -> np.ndarray:
@@ -108,8 +115,7 @@ def nullspace(m) -> np.ndarray:
     if rows > cols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank = int(np.sum(s > DEFAULT_TOLS.rank * s[0]))
-    return vh[rank:].conj().T
+    return vh[_rank(s):].conj().T
 
 
 def family_rank(vectors) -> int:
@@ -124,10 +130,7 @@ def family_rank(vectors) -> int:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise EmptyFamily("family_rank needs at least one vector")
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > DEFAULT_TOLS.rank * s[0]))
+    return _rank(np.linalg.svd(arr, compute_uv=False))
 
 
 class SpanAccumulator:
@@ -153,7 +156,7 @@ class SpanAccumulator:
         if ambient_dim < 1:
             raise BadDimension(f"ambient_dim must be >= 1, got {ambient_dim}")
         self.ambient_dim = int(ambient_dim)
-        self.tol = _check_cutoff("tol", tol, relative=True)
+        self.tol = _check_cutoff("tol", tol)
         self._buf = np.zeros((0, self.ambient_dim), dtype=np.complex128)
         self._dim = 0
         # stage(): copied rows, their residuals, the dim they were projected

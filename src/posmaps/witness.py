@@ -1,4 +1,4 @@
-"""Kernel pairs, randomized spanning certificates, and the named vector families.
+"""Kernels of Phi(P_x), randomized span certificates, and the named families.
 
 Two subspaces are estimated for a map Phi on M_n(C):
 
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .numlin import (
     DEFAULT_TOLS,
+    HERM_TOL,
     SpanAccumulator,
     Tolerances,
     hermitian_eig,
@@ -42,15 +43,6 @@ from .reports import FAIL, INCONCLUSIVE, PASS
 SATURATION_WINDOW = 64
 # samples whose candidates are projected against the basis together
 SPAN_BLOCK = 16
-
-
-@dataclass(frozen=True)
-class KernelPair:
-    """Unit vectors with Phi(P_x) y = 0; residual is the recomputed ||Phi(P_x) y||."""
-
-    x: np.ndarray
-    y: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,10 @@ class SpanReport:
 def kernel_of_state(phi: MapRep, x, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Orthonormal basis (columns) of ker Phi(P_x) for the normalized x.
 
-    Phi(P_x) must be Hermitian within tols.herm.  Eigenvalues <= tols.kernel
-    count as zero.  A negative eigenvalue below -tols.kernel raises
-    NonpositiveState, which doubles as a positivity alarm.
+    Phi(P_x) must pass hermitian_eig's check.  Eigenvalues up to the cut
+    tols.kernel * max|eigenvalue| count as zero; one below minus the cut
+    raises NonpositiveState, which doubles as a positivity alarm.  The cut
+    scales with Phi, so c Phi has the kernels of Phi for every c > 0.
     """
     x = np.asarray(x, dtype=np.complex128).ravel()
     nx = np.linalg.norm(x)
@@ -94,26 +87,12 @@ def kernel_of_state(phi: MapRep, x, tols: Tolerances = DEFAULT_TOLS) -> np.ndarr
         raise BadDimension("x must be a nonzero vector")
     x = x / nx
     m = phi.apply(np.outer(x, x.conj()))
-    w, v = hermitian_eig(m, tols.herm)
-    if w[0] < -tols.kernel:
+    w, v = hermitian_eig(m)
+    cut = tols.kernel * np.abs(w).max()
+    if w[0] < -cut:
         raise NonpositiveState(
-            f"Phi(P_x) has eigenvalue {w[0]:.3e} < -{tols.kernel:.1e}")
-    return v[:, w <= tols.kernel]
-
-
-def kernel_pairs(phi: MapRep, x, tols: Tolerances = DEFAULT_TOLS) -> list[KernelPair]:
-    """KernelPair list for one x; residuals re-checked by direct matvec."""
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    x = x / np.linalg.norm(x)
-    m = phi.apply(np.outer(x, x.conj()))
-    out = []
-    for y in kernel_of_state(phi, x, tols).T:
-        residual = float(np.linalg.norm(m @ y))
-        if residual > tols.kernel:
-            raise InconsistentResult(
-                f"kernel vector fails recheck: residual {residual:.3e}")
-        out.append(KernelPair(x=x.copy(), y=y.copy(), residual=residual))
-    return out
+            f"Phi(P_x) has eigenvalue {w[0]:.3e} < -{cut:.1e}")
+    return v[:, w <= cut]
 
 
 def _grid_vectors(n: int):
@@ -143,7 +122,7 @@ def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
     if kind == "M":
         ambient, target = n * n, n * n
     else:
-        ambient, target = n ** 3, (n * n - 1) * n
+        ambient, target = n ** 3, dn_bound(n)
     if budget is None:
         budget = 10 * n ** 3
     if budget < 1:
@@ -184,7 +163,7 @@ def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
     return SpanReport(map_name=phi.name, kind=kind, target_dim=target,
                       ambient_dim=ambient, achieved_dim=acc.dim,
                       samples_used=used, saturated=saturated, seed=seed,
-                      tolerances=asdict(tols))
+                      tolerances=asdict(tols) | {"herm": HERM_TOL})
 
 
 def estimate_M_dim(phi: MapRep, budget: int | None = None, seed: int = 0,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import posmaps
-from posmaps import (antisym, cli, commutant, load_matrix, posmap, robertson_map,
-                     save_matrix, choi, u0, witness)
+from posmaps import (antisym, cli, commutant, load_matrix, matio, posmap,
+                     robertson_map, save_matrix, choi, u0, witness)
 from posmaps.cli import CHECKS, bh_exposedness, main
 from posmaps.reports import (
     FAIL,
@@ -27,7 +27,57 @@ def run(capsys, *argv):
     return code, cap.out, cap.err
 
 
+def residual(bound):
+    return pytest.approx(0.0, abs=bound)
+
+
+SPAN_TOLS = {"herm": 1e-12, "kernel": 1e-10, "rank": 1e-09}
+
+# `verify all --format json --seed 0`: every status, integer decision and
+# tolerance is exact; floats are compared with approx
+VERIFY_ALL_SEED0 = [
+    ("bh-random-exposed", {"achieved_dim": 60, "irreducible": True, "n": 4,
+                           "saturated": True, "strong_spanning_target": 60,
+                           "unital_residual": residual(1e-14)},
+     {"achieved_dim": 60, "irreducible": True, "unital_residual": 0.0},
+     SPAN_TOLS | {"unital": 1e-12}),
+    ("canonical-form-roundtrip", {"decompositions": 75,
+                                  "max_residual": residual(1e-13)},
+     {"max_residual": 0.0}, {"reconstruction": 1e-08}),
+    ("dn-table", {"rows": [[4, 60, 60, 60], [6, 196, 210, 196], [8, 456, 504, 456]]},
+     {"measured_equals_Dn": True}, {"rank": 1e-09}),
+    ("example1-transpose", {"printed_variant_rank": 6, "rank": 6}, {"rank": 6},
+     {"rank": 1e-09}),
+    ("example2-reduction", {"rank": 6}, {"rank": 6}, {"rank": 1e-09}),
+    ("positivity-sample",
+     {"min_value_n4": pytest.approx(0.0024904284354351075, rel=1e-9),
+      "min_value_n6": pytest.approx(0.01781143601129919, rel=1e-9),
+      "trials": 10_000},
+     {"min_value": ">= -1e-10"}, {"kernel": 1e-10}),
+    ("prop3-robertson-60", {"count": 60, "rank": 60}, {"rank": 60},
+     {"rank": 1e-09}),
+    ("reduction-n-fails", {"achieved_dim": 18, "n": 3, "saturated": True,
+                           "target_dim": 24},
+     {"achieved_dim": 18, "below_target": True}, SPAN_TOLS),
+    ("robertson-irreducible", {"commutant_dim": 1, "contains_identity": True},
+     {"commutant_dim": 1}, {"rank": 1e-09}),
+    ("robertson-strong-spanning", {"achieved_dim": 60, "samples_used": 98,
+                                   "saturated": True},
+     {"achieved_dim": 60}, SPAN_TOLS),
+]
+
+
 class TestVerify:
+    def test_all_json_frozen(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--format", "json",
+                           "--seed", "0")
+        assert code == 0
+        assert json.loads(out) == [
+            {"check_name": name, "status": "PASS", "measured": measured,
+             "expected": expected, "tolerances": tolerances, "seed": 0,
+             "runtime_ms": None}
+            for name, measured, expected, tolerances in VERIFY_ALL_SEED0]
+
     @pytest.mark.parametrize("check", sorted(CHECKS))
     def test_each_check_passes_at_defaults(self, capsys, check):
         args = ["verify", check]
@@ -209,6 +259,15 @@ class TestSpan:
         assert d["map_name"] == "robertson"
         assert d["tolerances"]["rank"] == 1e-9
 
+    def test_robertson_json_frozen(self, capsys):
+        code, out, _ = run(capsys, "span", "--map", "robertson",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "achieved_dim": 60, "ambient_dim": 64, "kind": "N",
+            "map_name": "robertson", "samples_used": 98, "saturated": True,
+            "seed": 0, "target_dim": 60, "tolerances": SPAN_TOLS}
+
     def test_strict_budget_exhaustion(self, capsys):
         code, out, _ = run(capsys, "span", "--map", "robertson",
                            "--budget", "2", "--strict")
@@ -255,6 +314,7 @@ class TestSizeGuard:
         for owner, attr in ((posmap, "transpose_map"), (posmap, "reduction_map"),
                             (posmap, "breuer_hall"), (posmap, "map_from_action"),
                             (posmap, "positivity_sample_test"),
+                            (matio, "save_matrix"), (matio, "load_matrix"),
                             (antisym, "random_antisymmetric_unitary"),
                             (witness, "estimate_N_dim"), (witness, "estimate_M_dim")):
             monkeypatch.setattr(owner, attr, refuse)
@@ -295,6 +355,32 @@ class TestSizeGuard:
         monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 16 * 4 ** 6 - 1)
         code, _, err = run(capsys, "span", "--map", f"file:{path}", "--kind", "N")
         assert code == 2 and "N span" in err
+        code, out, _ = run(capsys, "span", "--map", f"file:{path}", "--kind", "M")
+        assert code == 0 and "achieved_dim=16" in out
+
+    def test_export_counts_matio(self, capsys, tmp_path, monkeypatch, no_build):
+        # the superop alone is 136 MB at n=54, but save_matrix holds its
+        # entries as Python lists and text, about 225 B each
+        assert cli._export_bytes(53) <= cli.MAX_ARRAY_BYTES < cli._export_bytes(54)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "map-export", "--map", "transpose",
+                             "--n", "54", "--out", "x.json")
+        assert (code, out) == (2, "")
+        assert "exporting the n=54 map" in err and "GiB limit" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_file_checked_before_load(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "rob.json"
+        save_matrix(path, robertson_map().superop)
+        limit = cli.LOAD_BYTES_PER_FILE_BYTE * path.stat().st_size
+        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", limit - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(matio, "load_matrix", lambda p: pytest.fail("loaded"))
+            code, out, err = run(capsys, "span", "--map", f"file:{path}",
+                                 "--kind", "M")
+        assert (code, out) == (2, "")
+        assert "loading" in err and "GiB limit" in err
+        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", limit)
         code, out, _ = run(capsys, "span", "--map", f"file:{path}", "--kind", "M")
         assert code == 0 and "achieved_dim=16" in out
 

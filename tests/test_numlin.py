@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,16 @@ class TestHermitianEig:
     def test_rejects_nonhermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+    def test_cut_is_relative_to_max_entry(self, c):
+        # 1e-12 * max|m| is the cut at every scale, so c * m gets the
+        # verdict of m
+        m = np.array([[1.0, 1.0], [1.0, 1.0]])
+        hermitian_eig(c * (m + 0.4e-12j * np.array([[0, 1], [1, 0]])))
+        with pytest.raises(NotHermitian):
+            hermitian_eig(c * (m + 1e-12 * np.array([[0, 1], [-1, 0]])))
+        hermitian_eig(np.zeros((2, 2)))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
@@ -255,18 +267,22 @@ class TestCutoffs:
         with pytest.raises(ToolkitError, match="finite and > 0 and < 1"):
             SpanAccumulator(4, tol=tol)
 
-    @pytest.mark.parametrize("tol", BAD_CUTOFFS)
-    def test_hermitian_eig_rejects_bad_tol(self, tol):
-        skewed = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ToolkitError, match="finite and > 0"):
-            hermitian_eig(skewed, tol_herm=tol)
-        with pytest.raises(ToolkitError, match="finite and > 0"):
-            hermitian_eig(np.eye(2), tol_herm=tol)
-
     def test_valid_cutoffs_still_accepted(self):
         assert SpanAccumulator(4, tol=0.5).tol == 0.5
-        w, _ = hermitian_eig(np.array([[1.0, 1e-3], [0.0, 1.0]]), tol_herm=2.0)
-        assert np.allclose(w, [1 - 5e-4, 1 + 5e-4])
+
+    # spectra straddling the 1e-9 relative cut: both SVD routes cut them at
+    # the same rank, at every scale
+    @pytest.mark.parametrize("s, rank", [((1.0, 2e-9, 5e-10), 2),
+                                         ((1.0, 1.1e-9, 9e-10, 0.0), 2),
+                                         ((0.0, 0.0, 0.0), 0)])
+    def test_nullspace_and_family_rank_share_the_cut(self, s, rank):
+        rng = make_rng(4)
+        k = len(s)
+        for scale in (1e-12, 1.0, 1e8):
+            u, v = random_haar_unitary(rng, k), random_haar_unitary(rng, k)
+            m = (u * (scale * np.array(s))) @ v
+            assert family_rank(m) == rank
+            assert nullspace(m).shape == (k, k - rank)
 
 
 class TestStage:
@@ -331,7 +347,10 @@ class TestStage:
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("field", ["rank", "kernel", "herm"])
+    def test_fields_are_the_span_flags(self):
+        assert list(asdict(DEFAULT_TOLS)) == ["rank", "kernel"]
+
+    @pytest.mark.parametrize("field", ["rank", "kernel"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"),
                                        -float("inf")])
     def test_rejects_nonpositive_or_nonfinite(self, field, value):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,6 @@ from posmaps import (
     NotHermitian,
     SpanAccumulator,
     SpanReport,
-    Tolerances,
     UnknownFamily,
     breuer_hall,
     dn_bound,
@@ -18,7 +19,6 @@ from posmaps import (
     estimate_N_dim,
     family_rank,
     kernel_of_state,
-    kernel_pairs,
     make_rng,
     map_from_action,
     paper_family,
@@ -86,27 +86,22 @@ def skewed_transpose(eps):
         2, lambda m: m.T + eps * 1j * np.trace(m) * np.eye(2), "skewed")
 
 
-class TestHermTolerance:
-    def test_loose_herm_accepts_small_skew(self):
-        # a 8e-12 deviation fails the default 1e-12 but not herm=1e-11
-        tols = Tolerances(herm=1e-11)
-        phi = skewed_transpose(4e-12)
-        rep = estimate_M_dim(phi, tols=tols)
-        assert rep.saturated
-        assert rep.achieved_dim == estimate_M_dim(transpose_map(2)).achieved_dim
-        assert rep.tolerances["herm"] == 1e-11
-        assert len(kernel_pairs(phi, [1.0, 0.0], tols)) == 1
-        with pytest.raises(NotHermitian):
-            estimate_M_dim(phi)
+def scaled(phi, c):
+    return dataclasses.replace(phi, superop=c * phi.superop)
 
-    def test_tight_herm_rejects_small_skew(self):
-        # a 2e-13 deviation passes the default 1e-12 but not herm=1e-14
+
+class TestHermTolerance:
+    def test_default_cut_accepts_small_skew(self):
+        # a 2e-13 deviation passes the 1e-12 cut relative to max|Phi(P_x)| = 1
         phi = skewed_transpose(1e-13)
         assert estimate_M_dim(phi).saturated
+        assert kernel_of_state(phi, [1.0, 0.0]).shape == (2, 1)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+    def test_default_cut_rejects_larger_skew(self, c):
+        # an 8e-12 deviation fails it at every scale
         with pytest.raises(NotHermitian):
-            estimate_M_dim(phi, tols=Tolerances(herm=1e-14))
-        with pytest.raises(NotHermitian):
-            kernel_of_state(phi, [1.0, 0.0], Tolerances(herm=1e-14))
+            estimate_M_dim(scaled(skewed_transpose(4e-12), c))
 
 
 class TestKernelPairs:
@@ -115,12 +110,40 @@ class TestKernelPairs:
         phi = breuer_hall(random_antisymmetric_unitary(rng, 4))
         for _ in range(10):
             x = 3.0 * random_unit_vector(rng, 4)
-            pairs = kernel_pairs(phi, x)
-            assert len(pairs) == 2
-            for p in pairs:
-                assert p.residual <= 1e-10
-                assert abs(np.linalg.norm(p.x) - 1) <= 1e-14
-                assert abs(np.linalg.norm(p.y) - 1) <= 1e-14
+            ker = kernel_of_state(phi, x)
+            assert ker.shape == (4, 2)
+            assert np.abs(ker.conj().T @ ker - np.eye(2)).max() <= 1e-14
+            for y in ker.T:
+                assert pair_residual(phi, x, y) <= 1e-14
+
+
+class TestScaleCovariance:
+    """c Phi has the kernels, and so the span reports, of Phi for every c > 0."""
+
+    CASES = [(reduction_map(2), estimate_M_dim), (transpose_map(3), estimate_M_dim),
+             (robertson_map(), estimate_N_dim), (reduction_map(3), estimate_N_dim),
+             (breuer_hall(random_antisymmetric_unitary(make_rng(3), 6)),
+              estimate_N_dim)]
+
+    @settings(max_examples=10, deadline=None)
+    @given(log_c=st.floats(min_value=-12.0, max_value=8.0), case=st.integers(0, 4))
+    def test_reports_unchanged_under_scaling(self, log_c, case):
+        phi, est = self.CASES[case]
+        assert est(scaled(phi, 10.0 ** log_c)) == est(phi)
+
+    def test_false_pass_at_small_scale_is_gone(self):
+        # at an absolute kernel cut every eigenvalue of 1e-12 * Phi(P_x) was
+        # a kernel, so M reached n^2 and N the whole ambient space
+        assert estimate_M_dim(scaled(reduction_map(2), 1e-12)).achieved_dim == 3
+        assert estimate_N_dim(scaled(robertson_map(), 1e-12)).achieved_dim == 60
+
+    def test_negative_state_alarm_at_small_scale(self):
+        neg = map_from_action(2, lambda m: -1e-12 * m, "negate")
+        with pytest.raises(NonpositiveState):
+            kernel_of_state(neg, [1.0, 0.0])
+
+    def test_large_scale_is_hermitian(self):
+        assert estimate_N_dim(scaled(breuer_hall(u0(4)), 1e6)).achieved_dim == 60
 
 
 class TestSpanEstimates:
@@ -219,7 +242,7 @@ class TestSpanEstimates:
         assert d["kind"] == "N"
         assert d["ambient_dim"] == 8 and d["target_dim"] == 6
         assert d["seed"] == 4
-        assert set(d["tolerances"]) == {"rank", "kernel", "herm"}
+        assert d["tolerances"] == {"rank": 1e-9, "kernel": 1e-10, "herm": 1e-12}
 
     def test_bad_budget(self):
         with pytest.raises(BadDimension):
