@@ -2,13 +2,25 @@
 
 A map Phi is irreducible when [Phi(X), Z] = 0 for all X forces Z to be a
 scalar.  By linearity it is enough to quantify over the matrix units, so
-the commutant is the nullspace of the stacked n^4 x n^2 system
-Z -> Phi(E_ij) Z - Z Phi(E_ij).
+the commutant is the nullspace of the stacked n^4 x n^2 system S:
+Z -> Phi(E_ij) Z - Z Phi(E_ij).  Its cut is tau = DEFAULT_TOLS.rank * s_0(S).
 
-Any few range elements Phi(H_1), ..., Phi(H_k) give a one-sided
-certificate first: their commutant contains the range's, so a
-one-dimensional probe commutant proves irreducibility from a k n^2 x n^2
-system.  A larger one proves nothing, and the full system decides.
+Four random range elements Phi(H_k) give a 4 n^2 x n^2 probe system
+P = (W (x) I) S, where row k of W is vec(H_k).  Its nullspace N, with k
+columns, is returned when two singular-value bounds prove that S has
+exactly k singular values <= tau; only otherwise is S built.  S has the
+exact null vector vec(I), so ||S||_F / n <= s_0(S) <= ||S||_F, and
+||S||_F is read off the n^2 unit images without forming S:
+
+- lower bound: ||S N||_F <= rank ||S||_F / n <= tau, so S has at least k
+  singular values <= tau (Courant-Fischer);
+- upper bound: s_i(P) <= ||W|| s_i(S) (Horn & Johnson, Topics in Matrix
+  Analysis, Thm 3.3.16), so when the (k+1)-th smallest singular value of
+  P exceeds ||W||_F rank ||S||_F, at most k of S's are <= tau.
+
+At k = n^2 the lower bound holds only for S = 0, that is when every unit
+image is exactly a multiple of I, and the upper bound has nothing to check.
+Both bounds carry a slack for rounding, so every term scales with Phi.
 """
 
 from __future__ import annotations
@@ -22,8 +34,8 @@ from .numlin import DEFAULT_TOLS, make_rng, nullspace
 from .posmap import MapRep
 
 # Random Hermitian inputs of the probe, drawn from a fixed seed so that
-# every verdict is reproducible.  Four images reach a one-dimensional
-# commutant on every irreducible map the tests and benchmark build.
+# every verdict is reproducible.  Four images reach the commutant's
+# dimension on every map the tests and benchmark build.
 PROBE_IMAGES = 4
 PROBE_SEED = 0
 
@@ -53,27 +65,67 @@ def _system(images: np.ndarray, n: int) -> np.ndarray:
     return system.reshape(k * n * n, n * n)
 
 
-def _probe_images(phi: MapRep) -> np.ndarray:
-    """Phi of PROBE_IMAGES random Hermitian matrices, shape (k, n, n)."""
-    n = phi.n
+def _probe_inputs(n: int) -> np.ndarray:
+    """PROBE_IMAGES random Hermitian n x n matrices, shape (k, n, n)."""
     g = make_rng(PROBE_SEED).standard_normal((PROBE_IMAGES, 2, n, n))
     h = g[:, 0] + 1j * g[:, 1]
-    return np.stack([phi.apply(x + x.conj().T) for x in h])
+    return h + h.conj().transpose(0, 2, 1)
+
+
+def _probe_images(phi: MapRep) -> np.ndarray:
+    """Phi of the probe inputs, shape (k, n, n)."""
+    return np.stack([phi.apply(x) for x in _probe_inputs(phi.n)])
+
+
+def _certified(basis: np.ndarray, s: np.ndarray, units: np.ndarray) -> bool:
+    """True iff the probe nullspace provably has the full system's dimension.
+
+    basis and s are what nullspace returned for the probe system, units
+    the n^2 matrix-unit images.  The slack bounds the rounding of the
+    probe images (n^2 eps per entry of superop @ vec(H)), of the system
+    built from them (Frobenius gain 2 sqrt(n)), of its QR and SVD and of
+    the commutators below, all by 4 n^2.5 eps ||Phi||_F.
+    """
+    n2, n = units.shape[0], units.shape[1]
+    k = basis.shape[1]
+    eye = np.eye(n, dtype=bool)
+    if k == n2:
+        # S = 0 exactly: every image is diagonal with one repeated entry
+        diag = units[:, eye].reshape(n2, n)
+        return not units[:, ~eye].any() and bool((diag == diag[:, :1]).all())
+    # the traceless parts D_m: ||S||_F^2 = 2n sum_m ||D_m||_F^2, and
+    # [A_m, Z] = [D_m, Z]
+    d = units - (np.trace(units, axis1=1, axis2=2) / n)[:, None, None] * eye
+    cut = DEFAULT_TOLS.rank * np.sqrt(2 * n) * np.linalg.norm(d)
+    slack = 4 * n ** 2.5 * np.finfo(float).eps * np.linalg.norm(units)
+    if not s[n2 - k - 1] > np.linalg.norm(_probe_inputs(n)) * (cut + slack):
+        return False
+    # ||S N||_F from D_m Z_a and Z_a D_m for every m, two GEMMs per Z_a
+    dz = d.reshape(n2 * n, n)
+    zd = d.transpose(1, 0, 2).reshape(n, n2 * n)
+    sq = 0.0
+    for z in basis.T.reshape(k, n, n):
+        comm = ((dz @ z).reshape(n2, n, n)
+                - (z @ zd).reshape(n, n2, n).transpose(1, 0, 2))
+        sq += np.vdot(comm, comm).real
+    return np.sqrt(sq) + np.sqrt(k) * slack <= cut / n
 
 
 def commutant_of_range(phi: MapRep) -> CommutantResult:
     """Solve {Z : [Phi(X), Z] = 0 for every X}.
 
     The probe system of PROBE_IMAGES random range elements is solved
-    first; a one-dimensional nullspace is the commutant.  Otherwise the
-    n^4 x n^2 system over the matrix units decides.
+    first; its nullspace is the commutant when _certified proves that it
+    has the full system's dimension.  Otherwise the n^4 x n^2 system over
+    the matrix units decides.
     """
     n = phi.n
-    ns = nullspace(_system(_probe_images(phi), n))
-    if ns.shape[1] != 1:
-        # superop column i n + j is vec(Phi(E_ij)), so the rows of its
-        # transpose are the matrix-unit images, read without n^2 applies
-        ns = nullspace(_system(phi.superop.T.reshape(n * n, n, n), n))
+    # superop column i n + j is vec(Phi(E_ij)), so the rows of its
+    # transpose are the matrix-unit images, read without n^2 applies
+    units = phi.superop.T.reshape(n * n, n, n)
+    ns, s = nullspace(_system(_probe_images(phi), n))
+    if not _certified(ns, s, units):
+        ns, _ = nullspace(_system(units, n))
     dim = ns.shape[1]
     if dim == 0:
         raise InconsistentResult(

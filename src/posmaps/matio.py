@@ -63,6 +63,8 @@ def load_matrix(path) -> np.ndarray:
             doc = json.load(f, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ToolkitError(f"not a matrix file: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses per nesting level
+            raise ToolkitError("not a matrix file: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ToolkitError("matrix file must be a JSON object")
     try:

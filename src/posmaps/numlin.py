@@ -96,18 +96,19 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > DEFAULT_TOLS.rank * s[0])) if s.size else 0
 
 
-def nullspace(m) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns, via SVD.
+def nullspace(m) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of ker(m) as columns, via SVD, and the spectrum cut.
 
-    Singular values <= DEFAULT_TOLS.rank * max(s) count as zero.  A zero
-    (or empty) matrix returns the identity basis of its column space.
+    Returns (basis, s): s holds the min(rows, cols) singular values of m in
+    descending order, and singular values <= DEFAULT_TOLS.rank * s[0]
+    count as zero.  So for a tall m, s[cols - k - 1] is the smallest value
+    kept when basis has k < cols columns.  A zero (or empty) matrix
+    returns the identity basis of its column space and zero values.
     """
     m = as_cmatrix(m)
     rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if rows == 0 or not np.any(m):
-        return np.eye(cols, dtype=np.complex128)
+    if rows == 0 or cols == 0 or not np.any(m):
+        return np.eye(cols, dtype=np.complex128), np.zeros(min(rows, cols))
     # A tall system has the singular values and right factor of its
     # cols x cols QR factor R, so no rows x cols left factor is built.  A
     # wide system needs the full vh: its last cols - rows rows are kernel
@@ -115,7 +116,7 @@ def nullspace(m) -> np.ndarray:
     if rows > cols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    return vh[_rank(s):].conj().T
+    return vh[_rank(s):].conj().T, s
 
 
 def family_rank(vectors) -> int:

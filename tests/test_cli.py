@@ -473,6 +473,17 @@ class TestMapExport:
             assert err.startswith("error:")
 
 
+    def test_deeply_nested_file_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        depth = 100_000
+        p.write_text('{"rows": 1, "cols": 1, "data": %s%s}'
+                     % ("[" * depth, "]" * depth))
+        code, out, err = run(capsys, "span", "--map", f"file:{p}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         # run from the directory that holds the package under test, so that

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -20,7 +25,7 @@ from posmaps import (
     unvec,
 )
 from posmaps import commutant
-from posmaps.commutant import _probe_images, _system
+from posmaps.commutant import _probe_images, _probe_inputs, _system
 
 from oracles import identity_map
 
@@ -54,6 +59,34 @@ def unit_images(phi):
     # Phi(E_ij) in row-major unit order, read off the superop's columns
     n = phi.n
     return phi.superop.T.reshape(n * n, n, n)
+
+
+def near_cut_maps():
+    # perturbed pinchings c (P + 10^(-k/2) G) whose smallest kept singular
+    # value sits near the rank cut, as (n, k, c, map)
+    rng = make_rng(0)
+    for n in (3, 4, 6, 8):
+        pin = pinching(half_rank_projector(rng, n)).superop
+        g = (rng.standard_normal((n * n, n * n))
+             + 1j * rng.standard_normal((n * n, n * n)))
+        g /= np.linalg.norm(g, 2)
+        for k in range(4, 32):
+            for c in (1.0, 1e-8, 1e6):
+                yield n, k, c, MapRep(n=n, superop=c * (pin + 10 ** (-k / 2) * g),
+                                      name="near_cut")
+
+
+def near_cut_map(n, k, c=1.0):
+    return next(phi for m, j, s, phi in near_cut_maps() if (m, j, s) == (n, k, c))
+
+
+def count_nullspace_calls(monkeypatch):
+    # the probe route solves one system; the fallback solves a second one
+    calls = []
+    solve = commutant.nullspace
+    monkeypatch.setattr(commutant, "nullspace",
+                        lambda m: calls.append(m.shape) or solve(m))
+    return calls
 
 
 def _random_bh(n):
@@ -122,20 +155,22 @@ class TestCommutant:
             y = phi.apply(rng.standard_normal((4, 4))
                           + 1j * rng.standard_normal((4, 4)))
             blocks.append(np.kron(y, eye) - np.kron(eye, y.T))
-        other = nullspace(np.vstack(blocks))
+        other, _ = nullspace(np.vstack(blocks))
         res = commutant_of_range(phi)
         assert other.shape[1] == res.dim == 1
         proj = res.basis @ res.basis.conj().T
         assert np.abs(other @ other.conj().T - proj).max() <= 1e-10
 
     @pytest.mark.parametrize(
-        "phi,fallback",
-        [(breuer_hall(u0(4)), False), (trace_map(3), True),
-         (transpose_map(3), False), (pinch_map(2), True)],
-        ids=["breuer_hall_4", "trace_3", "transpose_3", "pinch_2"])
-    def test_basis_matches_stacked_system(self, phi, fallback):
+        "build,route",
+        [(lambda: breuer_hall(u0(4)), "irreducible"), (lambda: trace_map(3), "probe"),
+         (lambda: transpose_map(3), "irreducible"), (lambda: pinch_map(2), "probe"),
+         (lambda: near_cut_map(4, 16), "fallback")],
+        ids=["breuer_hall_4", "trace_3", "transpose_3", "pinch_2", "near_cut_4_16"])
+    def test_basis_matches_stacked_system(self, build, route, monkeypatch):
         # the broadcast fill over the matrix-unit images is the vstack of
         # the per-unit kron blocks, entry for entry
+        phi = build()
         n = phi.n
         eye = np.eye(n, dtype=np.complex128)
         blocks = []
@@ -147,30 +182,41 @@ class TestCommutant:
                 blocks.append(np.kron(y, eye) - np.kron(eye, y.T))
         stacked = np.vstack(blocks)
         assert np.array_equal(_system(unit_images(phi), n), stacked)
+        full, _ = nullspace(stacked)
+        calls = count_nullspace_calls(monkeypatch)
         res = commutant_of_range(phi)
-        if fallback:
-            # the probe cannot decide a reducible map: the full system does,
+        assert len(calls) == (2 if route == "fallback" else 1)
+        if route == "fallback":
+            # the bounds cannot certify the probe: the full system decides,
             # with the same SVD and the same basis
-            assert np.array_equal(res.basis, nullspace(stacked))
+            assert np.array_equal(res.basis, full)
         else:
+            # the certified probe nullspace spans the full system's
+            assert res.dim == full.shape[1]
+            proj = res.basis @ res.basis.conj().T
+            assert np.abs(proj - full @ full.conj().T).max() <= 1e-10
+        if route == "irreducible":
             vi = np.eye(n).ravel() / np.sqrt(n)
             assert res.dim == 1
             assert abs(abs(np.vdot(vi, res.basis[:, 0])) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("name", list(TESTED_MAPS))
-    def test_probe_contains_full_commutant(self, name):
+    def test_probe_contains_full_commutant(self, name, monkeypatch):
         # the probe's few range elements commute with at least the true
-        # commutant; on every map here they also pin down its dimension
+        # commutant; on every map here the bounds also certify that they
+        # pin down its dimension, so the full system is never solved
         phi = TESTED_MAPS[name]()
         n = phi.n
-        probe = nullspace(_system(_probe_images(phi), n))
-        full = nullspace(_system(unit_images(phi), n))
+        probe, _ = nullspace(_system(_probe_images(phi), n))
+        full, _ = nullspace(_system(unit_images(phi), n))
+        calls = count_nullspace_calls(monkeypatch)
         assert probe.shape[1] == full.shape[1] == commutant_of_range(phi).dim
+        assert calls == [(4 * n * n, n * n)]
         assert np.abs(probe @ (probe.conj().T @ full) - full).max() <= 1e-10
 
     def test_apply_budget(self, monkeypatch):
-        # the probe applies the map PROBE_IMAGES times; the fallback reads
-        # the superop, so a reducible map is still applied at least once
+        # the probe applies the map PROBE_IMAGES times, and its bounds read
+        # the superop, with no further apply
         bh, tr = breuer_hall(u0(8)), trace_map(8)
         calls = []
         apply = MapRep.apply
@@ -180,29 +226,109 @@ class TestCommutant:
         assert len(calls) <= 4
         calls.clear()
         assert commutant_of_range(tr).dim == 64
-        assert len(calls) >= 1
+        assert 1 <= len(calls) <= 4
 
-    def test_near_cut_maps_keep_identity(self):
+    def test_near_cut_maps_keep_identity(self, monkeypatch):
         # a perturbed pinching whose smallest kept singular value sits
         # just above the rank cut: its null vectors drift from vec(I) by
-        # about eps / (s / s0), far beyond a fixed 1e-8
-        rng = make_rng(0)
-        for n in (3, 4, 6, 8):
-            pin = pinching(half_rank_projector(rng, n)).superop
-            g = (rng.standard_normal((n * n, n * n))
-                 + 1j * rng.standard_normal((n * n, n * n)))
-            g /= np.linalg.norm(g, 2)
-            for k in range(4, 32):
-                for c in (1.0, 1e-8, 1e6):
-                    phi = MapRep(n=n, superop=c * (pin + 10 ** (-k / 2) * g),
-                                 name="near_cut")
-                    assert commutant_of_range(phi).contains_identity
+        # about eps / (s / s0), far beyond a fixed 1e-8.  Whichever route
+        # decides, the dimension is the full system's, and both routes run
+        solve = commutant.nullspace
+        calls = count_nullspace_calls(monkeypatch)
+        routes = set()
+        for n, k, c, phi in near_cut_maps():
+            calls.clear()
+            res = commutant_of_range(phi)
+            routes.add(len(calls))
+            assert res.contains_identity
+            full, _ = solve(_system(unit_images(phi), n))
+            assert res.dim == full.shape[1], (n, k, c)
+        assert routes == {1, 2}
+
+    def test_certified_route_builds_only_the_probe(self, monkeypatch):
+        # a reducible map: the bounds certify the probe's two-dimensional
+        # nullspace, so no system with more than 4 n^2 rows is built
+        n = 8
+        rows = []
+        build = commutant._system
+        monkeypatch.setattr(commutant, "_system",
+                            lambda images, n: rows.append(images.shape[0] * n * n)
+                            or build(images, n))
+        phi = pinching(half_rank_projector(make_rng(3), n))
+        assert commutant_of_range(phi).dim == 2
+        assert rows and max(rows) <= 4 * n * n
+
+    def test_probe_blind_part_falls_back(self):
+        # Phi(X) = tr(X) C + f(X) B, with f(H_k) = 0 on the probe inputs:
+        # the probe sees only C, whose commutant is the diagonal algebra,
+        # while B leaves only the scalars.  The lower bound must refuse the
+        # probe's n null vectors
+        n = 4
+        rng = make_rng(9)
+        c = np.diag(np.arange(1.0, n + 1))
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f = nullspace(_probe_inputs(n).reshape(-1, n * n))[0][:, 0]
+        phi = map_from_action(
+            n, lambda x: np.trace(x) * c + (f @ x.ravel()) * b, "probe_blind")
+        assert nullspace(_system(_probe_images(phi), n))[0].shape[1] == n
+        assert nullspace(_system(unit_images(phi), n))[0].shape[1] == 1
+        assert commutant_of_range(phi).dim == 1
+
+    def test_near_scalar_map_falls_back(self, monkeypatch):
+        # trace + 1e-6 pinching: rank ||S||_F, about 3e-15, sits below the
+        # worst-case rounding of the probe images, n^2 eps ||Phi||_F, so the
+        # bounds refuse the probe and the full system decides
+        n = 4
+        pin = pinching(half_rank_projector(make_rng(4), n)).superop
+        phi = MapRep(n=n, superop=trace_map(n).superop + 1e-6 * pin,
+                     name="near_scalar")
+        full, _ = nullspace(_system(unit_images(phi), n))
+        calls = count_nullspace_calls(monkeypatch)
+        assert commutant_of_range(phi).dim == full.shape[1]
+        assert len(calls) == 2
+
+    def test_zero_probe_certifies_only_a_zero_system(self, monkeypatch):
+        # a probe that returns zero images has the whole space as nullspace;
+        # that certifies only when every unit image is a multiple of I
+        monkeypatch.setattr(commutant, "_probe_images",
+                            lambda phi: np.zeros((4, phi.n, phi.n), complex))
+        assert commutant_of_range(robertson_map()).dim == 1
+        assert commutant_of_range(trace_map(3)).dim == 9
+
+    def test_pinching_n14_peak_memory(self):
+        # the pinching by a rank-7 projector at n = 14: the full system
+        # alone is 38416 x 196 complex entries (115 MiB) and its QR copies
+        # it; the certified probe route stays far below that
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from posmaps import (commutant_of_range, make_rng, map_from_action,
+                                 random_haar_unitary)
+            n = 14
+            v = random_haar_unitary(make_rng(5), n)[:, :7]
+            p = v @ v.conj().T
+            q = np.eye(n) - p
+            phi = map_from_action(n, lambda x: p @ x @ p + q @ x @ q, "pinching")
+            base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            assert commutant_of_range(phi).dim == 2
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((peak - base) / 1024)
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert float(out.stdout) < 100
 
     def test_identity_missing_raises(self, monkeypatch):
         rng = make_rng(4)
+        # the random basis fails the lower bound, so the fallback runs
+        # and gets a random basis too
         monkeypatch.setattr(
             commutant, "nullspace",
-            lambda m: random_unit_vector(rng, m.shape[1])[:, None])
+            lambda m: (random_unit_vector(rng, m.shape[1])[:, None],
+                       np.ones(m.shape[1])))
         with pytest.raises(InconsistentResult, match="identity missing"):
             commutant_of_range(robertson_map())
 

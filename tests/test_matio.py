@@ -127,6 +127,16 @@ def test_load_names_the_bad_entry(tmp_path, entry, why):
         load_matrix(p)
 
 
+def test_load_rejects_deep_nesting(tmp_path):
+    # the JSON decoder recurses once per level and would hit the recursion
+    # limit; a matrix file nests three levels deep
+    depth = 100_000
+    p = write(tmp_path, '{"rows": 1, "cols": 1, "data": %s%s}'
+              % ("[" * depth, "]" * depth))
+    with pytest.raises(ToolkitError, match="nested too deeply"):
+        load_matrix(p)
+
+
 def test_load_rejects_length_mismatch(tmp_path):
     p = write(tmp_path, '{"rows": 2, "cols": 2, "data": [[1, 0]]}')
     with pytest.raises(DimensionMismatch):

@@ -68,15 +68,19 @@ class TestHermitianEig:
 
 class TestNullspace:
     def test_zero_matrix_full_basis(self):
-        ns = nullspace(np.zeros((3, 3)))
+        ns, s = nullspace(np.zeros((3, 3)))
         assert ns.shape == (3, 3)
+        assert np.array_equal(s, np.zeros(3))
         assert np.allclose(ns.conj().T @ ns, np.eye(3))
 
     def test_identity_empty(self):
-        assert nullspace(np.eye(2)).shape == (2, 0)
+        ns, s = nullspace(np.eye(2))
+        assert ns.shape == (2, 0)
+        assert np.allclose(s, [1.0, 1.0])
 
     def test_diagonal(self):
-        ns = nullspace(np.diag([0.0, 0.0, 0.5, 0.5]))
+        ns, s = nullspace(np.diag([0.0, 0.0, 0.5, 0.5]))
+        assert np.allclose(s, [0.5, 0.5, 0.0, 0.0])
         assert ns.shape == (4, 2)
         # kernel is the first two coordinates
         assert np.abs(ns[2:, :]).max() == 0.0
@@ -85,7 +89,7 @@ class TestNullspace:
         rng = make_rng(1)
         m = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         m[:, 3] = m[:, 0] + m[:, 1]  # force rank deficiency in the Gram sense
-        ns = nullspace(m.conj().T @ m)
+        ns, _ = nullspace(m.conj().T @ m)
         assert ns.shape[1] >= 1
         for v in ns.T:
             assert np.linalg.norm(m @ v) <= 1e-6
@@ -96,15 +100,15 @@ class TestNullspace:
             a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             h = a + a.conj().T
             r = family_rank(h)
-            assert r + nullspace(h).shape[1] == 5
+            assert r + nullspace(h)[0].shape[1] == 5
 
     def test_wide_keeps_full_kernel(self):
         # a thin SVD of a wide matrix drops the kernel directions beyond rows
-        assert nullspace(np.ones((1, 4))).shape == (4, 3)
+        assert nullspace(np.ones((1, 4)))[0].shape == (4, 3)
         rng = make_rng(7)
         m = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
-        ns = nullspace(m)
-        assert ns.shape == (7, 4)
+        ns, s = nullspace(m)
+        assert ns.shape == (7, 4) and s.shape == (3,)
         assert np.abs(ns.conj().T @ ns - np.eye(4)).max() <= 1e-12
         assert np.abs(m @ ns).max() <= 1e-12 * np.linalg.norm(m)
 
@@ -113,7 +117,7 @@ class TestNullspace:
         a = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
         b = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         m = a @ b  # rank 4
-        ns = nullspace(m)
+        ns, _ = nullspace(m)
         assert ns.shape == (6, 2)
         assert np.abs(ns.conj().T @ ns - np.eye(2)).max() <= 1e-12
         assert np.abs(m @ ns).max() <= 1e-9 * np.linalg.norm(m)
@@ -127,10 +131,12 @@ class TestNullspace:
         a = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
         b = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
         m = a @ b
-        _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-        ref = vh[int(np.sum(s > DEFAULT_TOLS.rank * s[0])):].conj().T
-        ns = nullspace(m)
+        _, s_ref, vh = np.linalg.svd(m, full_matrices=rows < cols)
+        ref = vh[int(np.sum(s_ref > DEFAULT_TOLS.rank * s_ref[0])):].conj().T
+        ns, s = nullspace(m)
         assert ns.shape == ref.shape == (cols, cols - rank)
+        # the values it cut are the matrix's own singular values
+        assert np.abs(s - s_ref).max() <= 1e-12 * s_ref[0]
         assert np.abs(ns @ ns.conj().T - ref @ ref.conj().T).max() <= 1e-12
 
 
@@ -282,7 +288,7 @@ class TestCutoffs:
             u, v = random_haar_unitary(rng, k), random_haar_unitary(rng, k)
             m = (u * (scale * np.array(s))) @ v
             assert family_rank(m) == rank
-            assert nullspace(m).shape == (k, k - rank)
+            assert nullspace(m)[0].shape == (k, k - rank)
 
 
 class TestStage:
