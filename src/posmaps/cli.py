@@ -23,11 +23,14 @@ from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
 # Largest array, in bytes, a command may ask for.  Each command checks the
 # shapes its --n (or its input file) implies before it allocates them.
 MAX_ARRAY_BYTES = 2 * 1024 ** 3
-# matio's peaks under tracemalloc (numpy 2.4.6): a save holds 225 B per entry
-# of the n=16 Choi matrix; a load 18x the size of a file of [0, 0] entries,
-# the worst case in the writer's layout (24x with the spaces taken out).
-SAVE_BYTES_PER_ENTRY = 225
-LOAD_BYTES_PER_FILE_BYTE = 18
+# matio's peaks under tracemalloc (numpy 2.4.6).  A save holds a 1 B
+# finiteness mask per entry, then one chunk of matio.SAVE_CHUNK_ENTRIES
+# entries as Python floats and text (397 B per entry for 24-character
+# numbers).  A load holds 24.1x the size of a file of [0,0] entries with
+# no spaces, the worst case.
+SAVE_BYTES_PER_ENTRY = 1
+SAVE_BYTES_PER_CHUNK_ENTRY = 450
+LOAD_BYTES_PER_FILE_BYTE = 25
 
 
 def _check_bytes(what: str, nbytes: int) -> None:
@@ -43,8 +46,9 @@ def _superop_bytes(n: int) -> int:
 
 
 def _export_bytes(n: int) -> int:
-    """The superoperator, its Choi copy and save_matrix's peak."""
-    return 2 * _superop_bytes(n) + SAVE_BYTES_PER_ENTRY * n ** 4
+    """The superoperator, its Choi copy, and save_matrix's mask and chunk."""
+    return (2 * _superop_bytes(n) + SAVE_BYTES_PER_ENTRY * n ** 4
+            + SAVE_BYTES_PER_CHUNK_ENTRY * matio.SAVE_CHUNK_ENTRIES)
 
 
 # Sampled states per n in `verify positivity-sample`.
@@ -52,9 +56,14 @@ POSITIVITY_TRIALS = 10_000
 
 
 def _positivity_bytes(n: int) -> int:
-    """The superop plus px, wy and px @ superop.T of positivity_sample_test,
-    each POSITIVITY_TRIALS x n^2 complex."""
-    return _superop_bytes(n) + 3 * 16 * POSITIVITY_TRIALS * n ** 2
+    """The superop and what positivity_sample_test holds beside it.
+
+    The x and y draws, POSITIVITY_TRIALS x n complex each, with at most two
+    temporaries of that size while drawing; then one batch of px, wy and
+    px @ superop.T, each posmap.SAMPLE_BATCH_ROWS x n^2 complex.
+    """
+    return (_superop_bytes(n) + 4 * 16 * POSITIVITY_TRIALS * n
+            + 3 * 16 * posmap.SAMPLE_BATCH_ROWS * n ** 2)
 
 
 def _span_bytes(n: int, kind: str = "N") -> int:

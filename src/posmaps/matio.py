@@ -5,8 +5,10 @@ row-major order and re, im JSON numbers (the reader refuses strings and
 booleans).  Non-finite values are rejected on both read and write; the
 reader also refuses the JSON Infinity/NaN literals.
 
-The writer makes one C-encoder call.  The reader type-scans every entry (a
-list of two elements, each exactly int or float) before one `np.array`.
+The writer streams: it encodes SAVE_CHUNK_ENTRIES entries at a time, each
+chunk with one C-encoder call, so it never holds the whole matrix as Python
+objects or text.  The reader type-scans every entry (a list of two
+elements, each exactly int or float) before one `np.array`.
 """
 
 from __future__ import annotations
@@ -21,20 +23,26 @@ import numpy as np
 from .errors import DimensionMismatch, ToolkitError
 from .numlin import as_cmatrix
 
+# Entries that save_matrix encodes per json.dumps call: at most about 1.6 MB
+# of Python floats and text at a time, whatever the size of the matrix.
+SAVE_CHUNK_ENTRIES = 4096
+
 
 def save_matrix(path, m) -> None:
+    """Write m with the bytes of one json.dumps(doc, sort_keys=True) and a newline."""
     m = as_cmatrix(m)
     if not np.isfinite(m).all():
         raise ToolkitError("refusing to write non-finite entries")
-    doc = {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": np.column_stack([m.real.ravel(), m.imag.ravel()]).tolist(),
-    }
-    text = json.dumps(doc, allow_nan=False, sort_keys=True)
+    head, foot = json.dumps({"cols": int(m.shape[1]), "data": [],
+                             "rows": int(m.shape[0])}, sort_keys=True).split("[]")
     with open(Path(path), "w", encoding="utf-8") as f:
-        f.write(text)
-        f.write("\n")
+        f.write(head + "[")
+        for k in range(0, m.size, SAVE_CHUNK_ENTRIES):
+            # a flat slice is a contiguous row-major copy whatever m's layout;
+            # its float64 view holds (re, im) of each entry in turn
+            pairs = m.flat[k:k + SAVE_CHUNK_ENTRIES].view(np.float64).reshape(-1, 2)
+            f.write((", " if k else "") + json.dumps(pairs.tolist(), allow_nan=False)[1:-1])
+        f.write("]" + foot + "\n")
 
 
 def _reject_constant(token: str):

@@ -156,13 +156,38 @@ class PositivitySample:
     seed: int
 
 
+# Most sampled pairs evaluated at once: each batch holds three rows x n^2
+# complex arrays, however many trials are drawn.
+SAMPLE_BATCH_ROWS = 1024
+
+
+def _sample_values(phi: MapRep, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """<y_t|Phi(P_{x_t})|y_t> for each row t of the unit rows xs and ys.
+
+    Evaluates even batches of at most SAMPLE_BATCH_ROWS rows.  With two or
+    more rows no batch is a single row, whose product would take the
+    matrix-vector route and could round differently from the one-batch
+    product.
+    """
+    n = phi.n
+    batches = -(-len(xs) // SAMPLE_BATCH_ROWS)
+    out = []
+    for x, y in zip(np.array_split(xs, batches), np.array_split(ys, batches)):
+        # row t of px is vec(P_{x_t}); of wy is kron(ybar_t, y_t)
+        px = (x[:, :, None] * x.conj()[:, None, :]).reshape(len(x), n * n)
+        wy = (y.conj()[:, :, None] * y[:, None, :]).reshape(len(y), n * n)
+        out.append(np.einsum("tp,tp->t", wy, px @ phi.superop.T).real)
+    return np.concatenate(out)
+
+
 def positivity_sample_test(phi: MapRep, trials: int, seed: int) -> PositivitySample:
     """Monte-Carlo necessary check of positivity.
 
     A sampled value below round-off certifies that Phi is not positive;
     `verify positivity-sample` draws that line at -DEFAULT_TOLS.kernel.  A
-    nonnegative minimum is only evidence.  Draws the x batch first, then
-    the y batch, so results are reproducible for a fixed seed.
+    nonnegative minimum is only evidence.  Draws every x first, then every
+    y, so results are reproducible for a fixed seed, and evaluates the pairs
+    in batches (`_sample_values`).
     """
     if trials < 1:
         raise BadDimension(f"trials must be >= 1, got {trials}")
@@ -175,10 +200,7 @@ def positivity_sample_test(phi: MapRep, trials: int, seed: int) -> PositivitySam
 
     xs = unit_rows(trials)
     ys = unit_rows(trials)
-    # row t of px is vec(P_{x_t}); of wy is kron(ybar_t, y_t)
-    px = (xs[:, :, None] * xs.conj()[:, None, :]).reshape(trials, n * n)
-    wy = (ys.conj()[:, :, None] * ys[:, None, :]).reshape(trials, n * n)
-    vals = np.einsum("tp,tp->t", wy, px @ phi.superop.T).real
+    vals = _sample_values(phi, xs, ys)
     k = int(np.argmin(vals))
     return PositivitySample(min_value=float(vals[k]), x=xs[k].copy(),
                             y=ys[k].copy(), trials=trials, seed=seed)

@@ -4,8 +4,8 @@ Each computes something the package already computes, by a second route,
 so that a test can compare the two: the n=4 map through its 2x2-block
 shape, a map applied through its Choi matrix, the eigenphases of an
 antisymmetric unitary, the unitary covariance of the N-dimension, the
-span estimator one candidate at a time, with no staging, and the matrix
-file writer one entry at a time.
+span estimator one candidate at a time, with no staging, the matrix file
+writer one entry at a time, and the positivity sampler in one batch.
 """
 
 import itertools
@@ -160,3 +160,24 @@ def save_matrix_per_entry(path, m) -> None:
     with open(Path(path), "w", encoding="utf-8") as f:
         json.dump(doc, f, allow_nan=False, sort_keys=True)
         f.write("\n")
+
+
+def positivity_sample_one_batch(phi: MapRep, trials: int, seed: int):
+    """(xs, ys, values) of the positivity sampler with every pair in one batch.
+
+    Draws the pairs as `positivity_sample_test` does and holds three
+    trials x n^2 complex arrays at once.  `posmap._sample_values` must
+    compute the same values, batch by batch.
+    """
+    n = phi.n
+    rng = make_rng(seed)
+
+    def unit_rows(count):
+        z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    xs = unit_rows(trials)
+    ys = unit_rows(trials)
+    px = (xs[:, :, None] * xs.conj()[:, None, :]).reshape(trials, n * n)
+    wy = (ys.conj()[:, :, None] * ys[:, None, :]).reshape(trials, n * n)
+    return xs, ys, np.einsum("tp,tp->t", wy, px @ phi.superop.T).real

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 import posmaps
 from posmaps import (antisym, cli, commutant, load_matrix, matio, posmap,
-                     robertson_map, save_matrix, choi, u0, witness)
+                     robertson_map, save_matrix, choi, transpose_map, u0,
+                     witness)
 from posmaps.cli import CHECKS, bh_exposedness, main
 from posmaps.reports import (
     FAIL,
@@ -331,8 +333,8 @@ class TestSizeGuard:
         ("verify", "positivity-sample", "--n", "200"),
         ("verify", "canonical-form-roundtrip", "--n", "20000"),
         ("verify", "all", "--n", "30"),
-        # a 1.5 GiB superop, but 6.0 GiB with the three batches of sampled states
-        ("verify", "positivity-sample", "--n", "100"),
+        # a 1.8 GiB superop, but 2.4 GiB with the sampled states
+        ("verify", "positivity-sample", "--n", "105"),
     ])
     def test_oversized_input_exits_2(self, capsys, tmp_path, monkeypatch,
                                      no_build, argv):
@@ -350,23 +352,24 @@ class TestSizeGuard:
         assert "N span needs 10.9 GiB" in err
 
     def test_file_map_span_checked(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "rob.json"
-        save_matrix(path, robertson_map().superop)
-        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 16 * 4 ** 6 - 1)
+        # the n=5 file (7.5 kB) passes the load check, its N span does not
+        path = tmp_path / "t5.json"
+        save_matrix(path, transpose_map(5).superop)
+        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 16 * 5 ** 6 - 1)
         code, _, err = run(capsys, "span", "--map", f"file:{path}", "--kind", "N")
         assert code == 2 and "N span" in err
         code, out, _ = run(capsys, "span", "--map", f"file:{path}", "--kind", "M")
-        assert code == 0 and "achieved_dim=16" in out
+        assert code == 0 and "achieved_dim=24" in out
 
     def test_export_counts_matio(self, capsys, tmp_path, monkeypatch, no_build):
-        # the superop alone is 136 MB at n=54, but save_matrix holds its
-        # entries as Python lists and text, about 225 B each
-        assert cli._export_bytes(53) <= cli.MAX_ARRAY_BYTES < cli._export_bytes(54)
+        # the superop and its Choi copy fit at n=90 (2.10 GB), but not with
+        # save_matrix's finiteness mask of 1 B per entry
+        assert cli._export_bytes(89) <= cli.MAX_ARRAY_BYTES < cli._export_bytes(90)
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, "map-export", "--map", "transpose",
-                             "--n", "54", "--out", "x.json")
+                             "--n", "90", "--out", "x.json")
         assert (code, out) == (2, "")
-        assert "exporting the n=54 map" in err and "GiB limit" in err
+        assert "exporting the n=90 map" in err and "GiB limit" in err
         assert not (tmp_path / "x.json").exists()
 
     def test_file_checked_before_load(self, capsys, tmp_path, monkeypatch):
@@ -386,7 +389,7 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("check, largest_ok", [
         ("dn-table", 22), ("bh-random-exposed", 22), ("reduction-n-fails", 22),
-        ("positivity-sample", 62), ("canonical-form-roundtrip", 11585)])
+        ("positivity-sample", 99), ("canonical-form-roundtrip", 11585)])
     def test_limit_is_tight(self, capsys, monkeypatch, check, largest_ok):
         ran = []
         runner, ns, largest = CHECKS[check]
@@ -447,6 +450,25 @@ class TestMapExport:
         run(capsys, "map-export", "--map", "breuer-hall", "--n", "6",
             "--seed", "5", "--out", str(b))
         assert a.read_text() == b.read_text()
+
+    def test_export_n32_peak_memory(self, tmp_path):
+        # the 1,048,576-entry superop is 16 MB; the export adds about 18 MB
+        # of ru_maxrss to a bare import, where a writer that held every
+        # entry as Python objects and text added 196 MB
+        def peak_mb(code):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import resource, posmaps\n{code}\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"],
+                check=True, capture_output=True, text=True,
+                env={**os.environ,
+                     "PYTHONPATH": str(Path(posmaps.__file__).resolve().parent.parent)})
+            return int(proc.stdout) / 1024
+        out = tmp_path / "t.json"
+        export = peak_mb("from posmaps.cli import main\n"
+                         "assert main(['map-export', '--map', 'transpose', '--n', "
+                         f"'32', '--out', {str(out)!r}]) == 0")
+        assert export - peak_mb("") < 64
+        assert np.array_equal(load_matrix(out), transpose_map(32).superop)
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, out, err = run(capsys, "map-export", "--map", "robertson",

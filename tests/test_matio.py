@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from posmaps import (
     ToolkitError,
     breuer_hall,
     choi,
+    cli,
     load_matrix,
     make_rng,
     random_antisymmetric_unitary,
     save_matrix,
 )
+from posmaps.matio import SAVE_CHUNK_ENTRIES
 
 from oracles import save_matrix_per_entry
 
@@ -48,11 +51,30 @@ def random_7x5():
     return rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
 
 
+def transposed_7x5():
+    # not C-contiguous: the writer must still go in row-major order
+    return random_7x5().T
+
+
 def bh_choi_16():
     return choi(breuer_hall(random_antisymmetric_unitary(make_rng(5), 16)))
 
 
-@pytest.mark.parametrize("build", [special_values, random_7x5, bh_choi_16])
+def chunk_edge(entries):
+    """A column of random entries with the special values across the first
+    chunk boundary that it reaches."""
+    rng = make_rng(entries)
+    m = rng.standard_normal(entries) + 1j * rng.standard_normal(entries)
+    edge = min(SAVE_CHUNK_ENTRIES, entries - 4)
+    m[edge - 4:edge + 4] = special_values().ravel()
+    return m.reshape(entries, 1)
+
+
+@pytest.mark.parametrize("build", [special_values, random_7x5, transposed_7x5,
+                                   bh_choi_16] + [
+    pytest.param(lambda k=k: chunk_edge(k), id=f"entries={k}")
+    for k in (SAVE_CHUNK_ENTRIES - 1, SAVE_CHUNK_ENTRIES, SAVE_CHUNK_ENTRIES + 1,
+              2 * SAVE_CHUNK_ENTRIES + 1)])
 def test_writer_bytes_match_per_entry_writer(tmp_path, build):
     m = build()
     save_matrix(tmp_path / "new.json", m)
@@ -64,6 +86,32 @@ def test_writer_bytes_match_per_entry_writer(tmp_path, build):
         a, b = getattr(got, part), getattr(m, part)
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_peak_within_export_guard(tmp_path):
+    # 24-character numbers, the longest that the writer emits; the writer
+    # holds one chunk of them, however many entries the matrix has
+    m = np.full((2 * SAVE_CHUNK_ENTRIES + 1, 3), -2.2250738585072014e-308 * (1 + 1j))
+    peak = traced_peak(lambda: save_matrix(tmp_path / "m.json", m))
+    assert peak <= (cli.SAVE_BYTES_PER_ENTRY * m.size
+                    + cli.SAVE_BYTES_PER_CHUNK_ENTRY * SAVE_CHUNK_ENTRIES)
+
+
+def test_load_peak_within_load_guard(tmp_path):
+    # [0,0] entries with no spaces: the most Python objects per file byte
+    p = tmp_path / "m.json"
+    p.write_text('{"rows":256,"cols":256,"data":[%s]}' % ",".join(["[0,0]"] * 65536))
+    peak = traced_peak(lambda: load_matrix(p))
+    assert peak <= cli.LOAD_BYTES_PER_FILE_BYTE * p.stat().st_size
 
 
 def test_save_rejects_nonfinite(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from posmaps import (
     OddDimension,
     breuer_hall,
     choi,
+    cli,
     make_rng,
     map_from_action,
     map_from_choi,
+    posmap,
     positivity_sample_test,
     random_antisymmetric_unitary,
     random_unit_vector,
@@ -26,7 +30,8 @@ from posmaps import (
     vec,
 )
 
-from oracles import apply_via_choi, identity_map, robertson_block_form
+from oracles import (apply_via_choi, identity_map, positivity_sample_one_batch,
+                     robertson_block_form)
 
 
 def proj(x):
@@ -279,3 +284,30 @@ class TestPositivitySample:
         b = positivity_sample_test(robertson_map(), trials=500, seed=7)
         assert a.min_value == b.min_value
         assert np.array_equal(a.x, b.x)
+
+    @pytest.mark.parametrize("trials", [
+        1, 2, posmap.SAMPLE_BATCH_ROWS - 1, posmap.SAMPLE_BATCH_ROWS,
+        posmap.SAMPLE_BATCH_ROWS + 1, 10_000])
+    def test_batches_match_one_batch(self, trials):
+        phi = breuer_hall(random_antisymmetric_unitary(make_rng(3), 6))
+        xs, ys, vals = positivity_sample_one_batch(phi, trials, seed=4)
+        assert np.array_equal(posmap._sample_values(phi, xs, ys), vals)
+        res = positivity_sample_test(phi, trials, seed=4)
+        k = int(np.argmin(vals))
+        assert res.min_value == vals[k]
+        assert np.array_equal(res.x, xs[k]) and np.array_equal(res.y, ys[k])
+
+    def test_peak_below_one_full_batch(self):
+        # one batch of all 10,000 pairs held three 10,000 x n^2 complex
+        # arrays (19.4 MB at n = 6); the peak now stays under one of them,
+        # and under what the CLI's size guard counts
+        n, trials = 6, 10_000
+        phi = breuer_hall(random_antisymmetric_unitary(make_rng(3), n))
+        tracemalloc.start()
+        try:
+            positivity_sample_test(phi, trials, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * trials * n * n
+        assert peak <= cli._positivity_bytes(n) - cli._superop_bytes(n)
