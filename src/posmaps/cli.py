@@ -26,11 +26,14 @@ MAX_ARRAY_BYTES = 2 * 1024 ** 3
 # matio's peaks under tracemalloc (numpy 2.4.6).  A save holds a 1 B
 # finiteness mask per entry, then one chunk of matio.SAVE_CHUNK_ENTRIES
 # entries as Python floats and text (397 B per entry for 24-character
-# numbers).  A load holds 24.1x the size of a file of [0,0] entries with
-# no spaces, the worst case.
+# numbers).  A load holds its result, with at most 16 B reserved per 6 file
+# bytes (the entry "[0,0],"), or three copies of an entry longer than a
+# chunk, 3.0x the file at worst; and one chunk of matio.LOAD_CHUNK_CHARS
+# characters as text and Python objects, 2.0 MB measured at most.
 SAVE_BYTES_PER_ENTRY = 1
 SAVE_BYTES_PER_CHUNK_ENTRY = 450
-LOAD_BYTES_PER_FILE_BYTE = 25
+LOAD_BYTES_PER_FILE_BYTE = 3
+LOAD_BYTES_PER_CHUNK = 4 * 1024 ** 2
 
 
 def _check_bytes(what: str, nbytes: int) -> None:
@@ -43,6 +46,11 @@ def _check_bytes(what: str, nbytes: int) -> None:
 def _superop_bytes(n: int) -> int:
     """A complex n^2 x n^2 superoperator (or Choi matrix)."""
     return 16 * n ** 4
+
+
+def _load_bytes(file_bytes: int) -> int:
+    """What load_matrix holds for a file of file_bytes bytes."""
+    return LOAD_BYTES_PER_FILE_BYTE * file_bytes + LOAD_BYTES_PER_CHUNK
 
 
 def _export_bytes(n: int) -> int:
@@ -67,7 +75,11 @@ def _positivity_bytes(n: int) -> int:
 
 
 def _span_bytes(n: int, kind: str = "N") -> int:
-    """A span buffer at its cap: ambient^2 complex entries, ambient n^3 or n^2."""
+    """The span buffer: ambient^2 complex entries, ambient n^3 or n^2.
+
+    SpanAccumulator allocates it whole, and the OS commits its rows as they
+    are written, so this is the most it can hold.
+    """
     return 16 * n ** (6 if kind == "N" else 4)
 
 
@@ -300,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--budget", type=int, default=None)
     s.add_argument("--tol-rank", type=float, default=DEFAULT_TOLS.rank)
     s.add_argument("--tol-kernel", type=float, default=DEFAULT_TOLS.kernel,
-                   help="relative to the largest eigenvalue of Phi(P_x)")
+                   help="eigenvalue cut, relative to the largest eigenvalue "
+                        "magnitude of Phi(P_x); finite, > 0 and < 1")
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.add_argument("--strict", action="store_true")
     s.add_argument("--file-form", choices=["superop", "choi"], default="superop",
@@ -345,8 +358,7 @@ def _resolve_map(spec: str, n: int | None, seed: int,
         return posmap.breuer_hall(u)
     if spec.startswith("file:"):
         path = spec[5:]
-        _check_bytes(f"loading {path}",
-                     LOAD_BYTES_PER_FILE_BYTE * os.path.getsize(path))
+        _check_bytes(f"loading {path}", _load_bytes(os.path.getsize(path)))
         m = matio.load_matrix(path)
         if m.shape[0] != m.shape[1]:
             raise ToolkitError(f"map matrix must be square, got {m.shape}")

@@ -27,9 +27,10 @@ class Tolerances:
     kernel : eigenvalue cutoff when harvesting kernels of PSD matrices,
         relative to the largest eigenvalue magnitude
 
-    Every field must be finite and > 0, and rank < 1; anything else raises
-    ToolkitError.  A zero, negative or NaN cutoff would count noise as span
-    directions, or every eigenvalue as a kernel, and so fake a certificate.
+    Both are relative, so every field must be finite, > 0 and < 1; anything
+    else raises ToolkitError.  A zero, negative or NaN cutoff would count
+    noise as span directions, and a kernel cutoff of 1 or more would count
+    every eigenvalue as a kernel; either fakes a certificate.
     """
 
     rank: float = 1e-9
@@ -38,15 +39,14 @@ class Tolerances:
     def __post_init__(self):
         from .errors import ToolkitError
 
-        valid = all(_valid_cutoff(t) for t in astuple(self))
-        if not valid or not _valid_cutoff(self.rank, relative=True):
+        if not all(_valid_cutoff(t) for t in astuple(self)):
             raise ToolkitError(
-                f"tolerances must be finite and > 0, with rank < 1; got {self}")
+                f"tolerances must be finite and > 0, with rank < 1 and kernel < 1; got {self}")
 
 
-def _valid_cutoff(t: float, relative: bool = False) -> bool:
-    """Finite and > 0, and < 1 for a cutoff relative to a norm."""
-    return math.isfinite(t) and t > 0 and (t < 1 or not relative)
+def _valid_cutoff(t: float) -> bool:
+    """Finite, > 0 and < 1: a cutoff relative to a norm."""
+    return math.isfinite(t) and 0 < t < 1
 
 
 def _check_cutoff(name: str, t: float) -> float:
@@ -54,7 +54,7 @@ def _check_cutoff(name: str, t: float) -> float:
     from .errors import ToolkitError
 
     t = float(t)
-    if not _valid_cutoff(t, relative=True):
+    if not _valid_cutoff(t):
         raise ToolkitError(f"{name} must be finite and > 0 and < 1, got {t}")
     return t
 
@@ -147,8 +147,10 @@ class SpanAccumulator:
     try_add then finishes a vector equal to the next staged row against
     only the rows added since; any other vector gets the full projection.
 
-    The basis lives in the first dim rows of a row buffer that doubles
-    when full, capped at ambient_dim, so memory follows the span's size.
+    The basis lives in the first dim rows of an ambient_dim-row buffer,
+    allocated once with np.zeros.  The OS commits its pages only as rows
+    are written, so resident memory follows the span's size, and no row is
+    ever copied to grow it.
     """
 
     def __init__(self, ambient_dim: int, tol: float = DEFAULT_TOLS.rank):
@@ -158,7 +160,7 @@ class SpanAccumulator:
             raise BadDimension(f"ambient_dim must be >= 1, got {ambient_dim}")
         self.ambient_dim = int(ambient_dim)
         self.tol = _check_cutoff("tol", tol)
-        self._buf = np.zeros((0, self.ambient_dim), dtype=np.complex128)
+        self._buf = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         self._dim = 0
         # stage(): copied rows, their residuals, the dim they were projected
         # at, and the index of the next row try_add expects
@@ -224,11 +226,6 @@ class SpanAccumulator:
         rnorm = np.linalg.norm(r)
         if rnorm <= self.tol * scale:
             return False
-        if self._dim == self._buf.shape[0]:
-            grown = np.empty((min(2 * self._dim or 1, self.ambient_dim),
-                              self.ambient_dim), dtype=np.complex128)
-            grown[:self._dim] = self._buf[:self._dim]
-            self._buf = grown
         self._buf[self._dim] = r / rnorm
         self._dim += 1
         return True

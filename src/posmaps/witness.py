@@ -8,6 +8,8 @@ Two subspaces are estimated for a map Phi on M_n(C):
 Reaching the target dimension is a sufficient criterion (optimality for M,
 exposedness for N when the map is also unital and irreducible), so a run
 that stops by budget without saturating is inconclusive, never a refutation.
+Every N generator lies in the kernel of kernel_pair_operator(Phi), so an N
+estimate above n^3 - rank of that operator is an error, never a result.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .numlin import (
     HERM_TOL,
     SpanAccumulator,
     Tolerances,
+    family_rank,
     hermitian_eig,
     make_rng,
     random_unit_vector,
@@ -116,6 +119,17 @@ def _generators(phi: MapRep, kind: str, x: np.ndarray, tols: Tolerances) -> np.n
     return (w[None, :, None] * ys[:, None, :]).reshape(k, w.size * n)
 
 
+def kernel_pair_operator(phi: MapRep) -> np.ndarray:
+    """The n x n^3 matrix L with L @ kron(vec(X), y) == Phi(X) @ y for all X, y.
+
+    Each N generator kron(vec(P_x), y) has Phi(P_x) y = 0, so lies in ker L:
+    an N span has dimension at most n^3 - rank L, and rank L <= n.
+    """
+    n = phi.n
+    # superop[i*n + j, kl] is Phi(E_kl)[i, j]; column kl*n + j of L pairs it with y_j
+    return phi.superop.reshape(n, n, n * n).transpose(0, 2, 1).reshape(n, n ** 3)
+
+
 def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
               tols: Tolerances) -> SpanReport:
     n = phi.n
@@ -160,6 +174,12 @@ def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
                 break
         if error is not None and not saturated:
             raise error
+    # rank L <= n, so only a span above n^3 - n needs the rank
+    if kind == "N" and acc.dim > ambient - n:
+        bound = ambient - family_rank(kernel_pair_operator(phi))
+        if acc.dim > bound:
+            raise InconsistentResult(
+                f"N span of dimension {acc.dim} above its bound n^3 - rank L = {bound}")
     return SpanReport(map_name=phi.name, kind=kind, target_dim=target,
                       ambient_dim=ambient, achieved_dim=acc.dim,
                       samples_used=used, saturated=saturated, seed=seed,

@@ -5,11 +5,14 @@ so that a test can compare the two: the n=4 map through its 2x2-block
 shape, a map applied through its Choi matrix, the eigenphases of an
 antisymmetric unitary, the unitary covariance of the N-dimension, the
 span estimator one candidate at a time, with no staging, the matrix file
-writer one entry at a time, and the positivity sampler in one batch.
+writer one entry at a time, the matrix file reader in one `json.load`, and
+the positivity sampler in one batch.
 """
 
 import itertools
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +163,67 @@ def save_matrix_per_entry(path, m) -> None:
     with open(Path(path), "w", encoding="utf-8") as f:
         json.dump(doc, f, allow_nan=False, sort_keys=True)
         f.write("\n")
+
+
+def _reject_constant(token: str):
+    raise ToolkitError(f"non-finite literal {token!r} in matrix file")
+
+
+def _entry_error(data: list) -> ToolkitError:
+    """The error naming the first malformed entry; runs only on a bad file."""
+    for k, entry in enumerate(data):
+        if type(entry) is not list or len(entry) != 2:
+            return ToolkitError(f"entry {k} is not an [re, im] pair")
+        if not set(map(type, entry)) <= {int, float}:
+            return ToolkitError(f"entry {k} is not a pair of numbers")
+        try:
+            finite = all(map(math.isfinite, entry))
+        except OverflowError:  # an integer literal beyond float range
+            finite = False
+        if not finite:
+            return ToolkitError(f"entry {k} is not finite")
+    return ToolkitError("matrix data is malformed")
+
+
+def load_matrix_json(path) -> np.ndarray:
+    """The matrix file reader in one `json.load`.
+
+    Holds the whole document as Python objects, about 145 B an entry, and
+    ignores fields other than rows, cols and data.  `load_matrix` must
+    return the same values, or raise where this raises, on every file that
+    has no other field and no field twice.
+    """
+    with open(Path(path), "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise ToolkitError(f"not a matrix file: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses per nesting level
+            raise ToolkitError("not a matrix file: nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise ToolkitError("matrix file must be a JSON object")
+    try:
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    except KeyError as exc:
+        raise ToolkitError(f"matrix file missing field {exc}") from exc
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0
+               for v in (rows, cols)):
+        raise ToolkitError("rows and cols must be positive integers")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise DimensionMismatch(
+            f"expected {rows * cols} entries, got {len(data) if isinstance(data, list) else 'non-list'}")
+    # the scan is not optional: np.array would convert "1.5" and true silently
+    if not (set(map(type, data)) == {list} and set(map(len, data)) == {2}
+            and set(map(type, chain.from_iterable(data))) <= {int, float}):
+        raise _entry_error(data)
+    try:
+        pairs = np.array(data, dtype=float)
+    except OverflowError as exc:
+        raise _entry_error(data) from exc
+    if not np.isfinite(pairs).all():  # a literal such as 1e400 parses to inf
+        raise _entry_error(data)
+    # row k of pairs is (re, im) of entry k: the memory layout of complex128
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def positivity_sample_one_batch(phi: MapRep, trials: int, seed: int):

@@ -297,6 +297,22 @@ class TestSpan:
         assert (code, out) == (2, "")
         assert err.startswith("error: tolerances must be finite")
 
+    @pytest.mark.parametrize("argv", [
+        # these printed achieved_dim=64 above the bound 60 with exit 0, and
+        # achieved_dim=4 against the frozen 3
+        ("--map", "robertson", "--kind", "N", "--tol-kernel", "2", "--strict"),
+        ("--map", "reduction", "--n", "2", "--kind", "M", "--tol-kernel", "1"),
+    ])
+    def test_kernel_cut_of_one_or_more_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "span", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerances must be finite") and "kernel < 1" in err
+
+    def test_kernel_cut_help_names_its_range(self, capsys):
+        code, out, _ = run(capsys, "span", "--help")
+        help_text = " ".join(out.split())
+        assert code == 0 and "Phi(P_x); finite, > 0 and < 1" in help_text
+
     def test_unknown_map(self, capsys):
         assert run(capsys, "span", "--map", "bogus")[0] == 2
 
@@ -352,14 +368,16 @@ class TestSizeGuard:
         assert "N span needs 10.9 GiB" in err
 
     def test_file_map_span_checked(self, capsys, tmp_path, monkeypatch):
-        # the n=5 file (7.5 kB) passes the load check, its N span does not
-        path = tmp_path / "t5.json"
-        save_matrix(path, transpose_map(5).superop)
-        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 16 * 5 ** 6 - 1)
+        # the n=9 file (66 kB) passes the load check (4.4 MB), its N span
+        # (8.5 MB) does not
+        path = tmp_path / "t9.json"
+        save_matrix(path, transpose_map(9).superop)
+        assert cli._load_bytes(path.stat().st_size) < 16 * 9 ** 6
+        monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 16 * 9 ** 6 - 1)
         code, _, err = run(capsys, "span", "--map", f"file:{path}", "--kind", "N")
         assert code == 2 and "N span" in err
         code, out, _ = run(capsys, "span", "--map", f"file:{path}", "--kind", "M")
-        assert code == 0 and "achieved_dim=24" in out
+        assert code == 0 and "achieved_dim=80" in out
 
     def test_export_counts_matio(self, capsys, tmp_path, monkeypatch, no_build):
         # the superop and its Choi copy fit at n=90 (2.10 GB), but not with
@@ -375,7 +393,7 @@ class TestSizeGuard:
     def test_file_checked_before_load(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "rob.json"
         save_matrix(path, robertson_map().superop)
-        limit = cli.LOAD_BYTES_PER_FILE_BYTE * path.stat().st_size
+        limit = cli._load_bytes(path.stat().st_size)
         monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", limit - 1)
         with monkeypatch.context() as patch:
             patch.setattr(matio, "load_matrix", lambda p: pytest.fail("loaded"))
@@ -504,6 +522,50 @@ class TestMapExport:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "nested too deeply" in err
+
+
+def rss_growth_mb(setup: str, measured: str) -> float:
+    """Peak resident growth, in MB, of a fresh interpreter over measured after setup.
+
+    Reads VmHWM, the peak of the process's own address space: ru_maxrss
+    starts a child at its parent's peak, which may already be the larger.
+    """
+    hwm = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import posmaps\nfrom posmaps.cli import main\n{setup}\n"
+         f"before = {hwm}\n{measured}\nprint({hwm} - before)"],
+        check=True, capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(posmaps.__file__).resolve().parent.parent)})
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+class TestPeakMemory:
+    # each command first runs a small span, so that imports and BLAS
+    # buffers are counted before the measurement starts
+    WARM = "assert main(['span', '--map', 'transpose', '--kind', 'M']) == 0"
+
+    def test_file_span_reads_in_chunks(self, tmp_path):
+        # the n=16 Choi file is 3.2 MB with 65,536 entries (1 MB as complex);
+        # the span adds 3.6 MB, where a loader that held every entry as a
+        # Python list added 13.5 MB
+        path = tmp_path / "c16.json"
+        save_matrix(path, choi(posmap.breuer_hall(
+            antisym.random_antisymmetric_unitary(np.random.default_rng(5), 16))))
+        grown = rss_growth_mb(self.WARM, (
+            f"assert main(['span', '--map', 'file:{path}', '--file-form', "
+            "'choi', '--kind', 'M']) == 0"))
+        assert grown < 8
+
+    def test_span_basis_is_not_copied_to_grow(self):
+        # the n=12 N basis is 1508 x 1728 complex, 41.7 MB, and the span
+        # adds 48 MB; a buffer that doubled held its old 1024 rows and their
+        # copy at once, and added 61 MB
+        grown = rss_growth_mb(self.WARM, (
+            "assert main(['span', '--map', 'breuer-hall', '--n', '12']) == 0"))
+        assert 16 * 1508 * 1728 / 1e6 < grown < 54
 
 
 class TestEntryPoints:

@@ -363,10 +363,14 @@ class TestTolerances:
         with pytest.raises(ToolkitError, match="finite and > 0"):
             Tolerances(**{field: value})
 
-    @pytest.mark.parametrize("rank", [1.0, 2.0])
-    def test_rejects_relative_rank_of_one_or_more(self, rank):
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_rejects_relative_rank_of_one_or_more(self, value):
+        # both cutoffs are relative: a kernel cut of 1 or more counts every
+        # eigenvalue of Phi(P_x) as zero
         with pytest.raises(ToolkitError, match="rank < 1"):
-            Tolerances(rank=rank)
+            Tolerances(rank=value)
+        with pytest.raises(ToolkitError, match="kernel < 1"):
+            Tolerances(kernel=value)
 
 
 class TestSampling:

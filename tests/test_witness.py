@@ -411,6 +411,48 @@ class TestFamilies:
             paper_family("nope")
 
 
+class TestAPrioriBound:
+    @pytest.mark.parametrize("phi", [
+        breuer_hall(random_antisymmetric_unitary(make_rng(2), 4)),
+        robertson_map(), reduction_map(3), transpose_map(2)],
+        ids=lambda phi: phi.name)
+    def test_operator_identity(self, phi):
+        # L @ kron(vec(X), y) == Phi(X) y, for kernel pairs and any others
+        rng = make_rng(0)
+        n = phi.n
+        lop = witness.kernel_pair_operator(phi)
+        assert lop.shape == (n, n ** 3)
+        for _ in range(5):
+            x, y = random_unit_vector(rng, n), random_unit_vector(rng, n)
+            px = np.outer(x, x.conj())
+            assert np.abs(lop @ np.kron(px.ravel(), y) - phi.apply(px) @ y).max() <= 1e-14
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.allclose(lop @ np.kron(mat.ravel(), y), phi.apply(mat) @ y,
+                           rtol=0, atol=1e-13)
+
+    def test_bound_is_the_strong_spanning_target(self):
+        # a map whose images Phi(X) y fill C^n has rank L = n
+        phi = breuer_hall(random_antisymmetric_unitary(make_rng(2), 4))
+        assert family_rank(witness.kernel_pair_operator(phi)) == 4
+        assert 4 ** 3 - 4 == dn_bound(4)
+
+    def test_whole_space_kernel_raises(self, monkeypatch):
+        # a kernel harvest that returns all of C^n spans n^3 > n^3 - rank L
+        phi = breuer_hall(random_antisymmetric_unitary(make_rng(2), 4))
+        monkeypatch.setattr(witness, "kernel_of_state",
+                            lambda phi, x, tols: np.eye(phi.n, dtype=complex))
+        with pytest.raises(InconsistentResult, match="above its bound"):
+            estimate_N_dim(phi, seed=0)
+        assert estimate_M_dim(phi, seed=0).achieved_dim == 16
+
+    def test_zero_map_is_not_refused(self):
+        # rank L = 0, so the span of every vec(P_x) (x) y, n^3, is allowed
+        phi = map_from_action(3, lambda x: np.zeros_like(x), name="zero")
+        assert family_rank(witness.kernel_pair_operator(phi)) == 0
+        rep = estimate_N_dim(phi, seed=0)
+        assert rep.achieved_dim == 27 and rep.saturated
+
+
 class TestDnFormula:
     def test_frozen_values(self):
         assert dn_formula(4) == 60
