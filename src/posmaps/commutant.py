@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InconsistentResult
 from .numlin import DEFAULT_TOLS, make_rng, nullspace
-from .posmap import MapRep
+from .posmap import MapRep, unvec, vec
 
 # Random Hermitian inputs of the probe, drawn from a fixed seed so that
 # every verdict is reproducible.  Four images reach the commutant's
@@ -73,8 +73,8 @@ def _probe_inputs(n: int) -> np.ndarray:
 
 
 def _probe_images(phi: MapRep) -> np.ndarray:
-    """Phi of the probe inputs, shape (k, n, n)."""
-    return np.stack([phi.apply(x) for x in _probe_inputs(phi.n)])
+    """Phi of the probe inputs, shape (k, n, n), from one stacked apply."""
+    return phi.apply(_probe_inputs(phi.n))
 
 
 def _certified(basis: np.ndarray, s: np.ndarray, units: np.ndarray) -> bool:
@@ -104,7 +104,7 @@ def _certified(basis: np.ndarray, s: np.ndarray, units: np.ndarray) -> bool:
     dz = d.reshape(n2 * n, n)
     zd = d.transpose(1, 0, 2).reshape(n, n2 * n)
     sq = 0.0
-    for z in basis.T.reshape(k, n, n):
+    for z in unvec(basis.T):
         comm = ((dz @ z).reshape(n2, n, n)
                 - (z @ zd).reshape(n, n2, n).transpose(1, 0, 2))
         sq += np.vdot(comm, comm).real
@@ -133,7 +133,7 @@ def commutant_of_range(phi: MapRep) -> CommutantResult:
     # A computed null vector drifts from the exact kernel by about
     # eps * s0 / s for the smallest kept singular value s > rank * s0, so
     # the identity check is bounded by a multiple of eps / rank.
-    vi = np.eye(n, dtype=np.complex128).ravel() / np.sqrt(n)
+    vi = vec(np.eye(n)) / np.sqrt(n)
     proj = ns @ (ns.conj().T @ vi)
     contains = bool(np.linalg.norm(proj - vi)
                     <= 100 * np.finfo(float).eps / DEFAULT_TOLS.rank)

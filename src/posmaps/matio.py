@@ -100,27 +100,47 @@ class _Reader:
             have += len(block)
         self.buf, self.pos = "".join(parts), 0
 
-    def read_past(self, far: int) -> None:
+    def read_past(self, far: int, start: int) -> None:
         """Read on, keeping pos, until a `]` follows buf[far] or the file ends.
 
         Only an entry longer than a chunk gets here.  In a valid data array
         the text from far to the next `]` then holds whitespace and parts of
         at most two entries: number characters, two commas and one `[`.  Any
         other text is refused as it is read, so the buffer grows only by
-        ASCII text that decodes to a few Python objects.
+        ASCII text that decodes to a few Python objects.  The chunk at buf[0]
+        starts at entry start, so that the refusal can name its entry.
         """
         parts, text, values = [self.buf], self.buf[far:], 0
         while True:
             text = text.partition("]")[0]
             values += text.count(",") + text.count("[")
             if values > 3 or _NOT_NUMERIC.search(text):
-                raise ToolkitError("matrix data is malformed")
+                raise self.malformed(far, start)
             if self.eof or (len(parts) > 1 and "]" in parts[-1]):
                 break
             text = self.f.read(LOAD_CHUNK_CHARS)
             self.eof = not text
             parts.append(text)
         self.buf = "".join(parts)
+
+    def malformed(self, far: int, start: int) -> ToolkitError:
+        """The error for text from far on that no entry of a data array holds.
+
+        The chunk's entries up to the last `]` before far are decoded, at
+        most one chunk of them: the first that is not a pair of finite
+        numbers is named, else the entry after them, which holds the text.
+        Text that does not decode as entries is only called malformed.
+        """
+        head = self.buf[:self.buf.rfind("]", 0, far) + 1]
+        try:
+            data, end = _DECODER.raw_decode(f"[{head}]")
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(head) + 2:
+            return ToolkitError("matrix data is malformed")
+        if data:
+            _pairs(data, start)
+        return ToolkitError(f"entry {start + len(data)} is not an [re, im] pair")
 
     def peek(self) -> str:
         """The next character that is not whitespace ('' at the end); pos moves to it."""
@@ -167,12 +187,12 @@ class _Reader:
             raise self.error(exc.msg, exc.pos) from exc
         return key
 
-    def cut(self) -> int:
+    def cut(self, start: int) -> int:
         """Index just past the `]` that ends the next chunk of data entries.
 
-        The chunk starts at pos, which this leaves at 0.  It ends at the first
-        `]` at least LOAD_CHUNK_CHARS past its start, unless the array closes
-        sooner: then at the `]` of the array's last entry.
+        The chunk starts at pos, which this leaves at 0, with entry start.  It
+        ends at the first `]` at least LOAD_CHUNK_CHARS past its start, unless
+        the array closes sooner: then at the `]` of the array's last entry.
         """
         self.fill(2 * LOAD_CHUNK_CHARS)
         far = LOAD_CHUNK_CHARS
@@ -181,7 +201,7 @@ class _Reader:
             return end.start() + 1
         c = self.buf.find("]", far)
         if c < 0 and not self.eof:
-            self.read_past(far)
+            self.read_past(far, start)
             c = self.buf.find("]", far)
         if c < 0:  # no `]` up to the end: decoding the rest reports the error
             return len(self.buf)
@@ -235,7 +255,7 @@ def _read_chunk(r: _Reader, start: int) -> tuple[np.ndarray, int, int]:
     falls short of cut + 2 iff the data array closed inside the chunk.  The
     Python objects are freed on return, before the next chunk is decoded.
     """
-    cut = r.cut()
+    cut = r.cut(start)
     data, end = r.decode("[" + r.buf[:cut] + "]", shift=-1)
     return _pairs(data, start), cut, end
 

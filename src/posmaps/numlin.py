@@ -64,31 +64,51 @@ DEFAULT_TOLS = Tolerances()
 HERM_TOL = 1e-12
 
 
-def as_cmatrix(a, square: bool = False) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, validating shape."""
+def as_cmatrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-d complex128 array, validating shape.
+
+    With stack=True a (k, rows, cols) stack of matrices passes too.
+    """
     from .errors import DimensionMismatch
 
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
         raise DimensionMismatch(f"expected a 2-d array, got ndim={m.ndim}")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a 2-d complex array, bit for bit.
+
+    np.linalg.norm sums the squares of a vector's real and of its imaginary
+    parts with one BLAS dot each; np.vecdot makes those same calls per row.
+    """
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
 
 
 def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix, certifying hermiticity first.
 
+    m is one n x n matrix or a (k, n, n) stack, decomposed by one batched
+    np.linalg.eigh call; each matrix of a stack gets the bits it gets alone.
     Returns (w, v) as np.linalg.eigh does (ascending eigenvalues).
-    Raises NotHermitian if max|m - m^dag| exceeds HERM_TOL * max|m|.
+    Raises NotHermitian if max|m_i - m_i^dag| exceeds HERM_TOL * max|m_i|
+    for some matrix m_i, naming the first such i of a stack.
     """
     from .errors import NotHermitian
 
-    m = as_cmatrix(m, square=True)
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > HERM_TOL * np.abs(m).max(initial=0.0):
-        raise NotHermitian(f"deviation {dev:.3e} above {HERM_TOL:.0e} * max|m|")
-    return np.linalg.eigh((m + m.conj().T) / 2.0)
+    m = as_cmatrix(m, square=True, stack=True)
+    mh = m.conj().swapaxes(-2, -1)
+    dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    bad = dev > HERM_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"matrix {i}: " if m.ndim == 3 else ""
+        raise NotHermitian(
+            f"{where}deviation {dev.flat[i]:.3e} above {HERM_TOL:.0e} * max|m|")
+    return np.linalg.eigh((m + mh) / 2.0)
 
 
 def _rank(s: np.ndarray) -> int:
@@ -143,9 +163,11 @@ class SpanAccumulator:
     must be finite, > 0 and < 1, or ToolkitError is raised.
 
     stage(rows) does the expensive part of that projection for a block of
-    candidates at once: two GEMM passes against the basis as it stands.
-    try_add then finishes a vector equal to the next staged row against
-    only the rows added since; any other vector gets the full projection.
+    candidates at once: two GEMM passes against the basis as it stands.  It
+    returns the rows as read-only views of a private copy; passing those
+    very objects to try_add, in order, finishes each against only the rows
+    added since, with the norm stage computed.  Any other vector, even an
+    equal one, gets the full projection.
 
     The basis lives in the first dim rows of an ambient_dim-row buffer,
     allocated once with np.zeros.  The OS commits its pages only as rows
@@ -162,9 +184,9 @@ class SpanAccumulator:
         self.tol = _check_cutoff("tol", tol)
         self._buf = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         self._dim = 0
-        # stage(): copied rows, their residuals, the dim they were projected
-        # at, and the index of the next row try_add expects
-        self._staged = self._residuals = None
+        # stage(): the rows it returned, their norms and residuals, the dim
+        # they were projected at, and the index of the next row try_add expects
+        self._staged = self._norms = self._residuals = None
         self._mark = self._next = 0
 
     @property
@@ -178,17 +200,20 @@ class SpanAccumulator:
 
     def _project(self, r: np.ndarray, start: int) -> np.ndarray:
         """r (one vector, or one per row) minus its part along basis rows start:dim."""
+        if start == self._dim:
+            return r
         b = self._buf[start:self._dim]
         for _ in range(2):  # reorthogonalize: one pass leaks for near-parallel input
             # r @ conj(b).T without copying b: conj(conj(r) @ b.T)
             r = r - (r.conj() @ b.T).conj() @ b
         return r
 
-    def stage(self, rows) -> None:
+    def stage(self, rows) -> tuple[np.ndarray, ...]:
         """Project a block of candidates against the current basis ahead of try_add.
 
-        rows holds one candidate per row; they are copied, so later changes
-        to the caller's array cannot pair a vector with a stale residual.
+        rows holds one candidate per row.  They are copied, so later changes
+        to the caller's array cannot pair a vector with a stale residual,
+        and returned as read-only rows of that copy, for try_add.
         """
         from .errors import DimensionMismatch
 
@@ -196,33 +221,32 @@ class SpanAccumulator:
         if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
             raise DimensionMismatch(
                 f"rows of shape {rows.shape} in ambient dim {self.ambient_dim}")
-        self._staged = rows
+        rows.flags.writeable = False
+        self._staged = tuple(rows)
+        self._norms = row_norms(rows)
         self._residuals = self._project(rows, 0)
         self._mark, self._next = self._dim, 0
-
-    def _residual(self, r: np.ndarray) -> np.ndarray:
-        """r projected off the whole basis, from its staged residual when it has one."""
-        staged = self._staged
-        if staged is None or not np.array_equal(r, staged[self._next]):
-            return self._project(r, 0)
-        r = self._project(self._residuals[self._next], self._mark)
-        self._next += 1
-        if self._next == len(staged):
-            self._staged = self._residuals = None
-        return r
+        return self._staged
 
     def try_add(self, v) -> bool:
         """Add v's new direction if any; return True iff dim grew."""
-        from .errors import DimensionMismatch
+        i = self._next
+        if self._staged and v is self._staged[i]:
+            scale, r, start = self._norms[i], self._residuals[i], self._mark
+            self._next += 1
+            if self._next == len(self._staged):
+                self._staged = self._norms = self._residuals = None
+        else:
+            r = np.asarray(v, dtype=np.complex128).ravel()
+            if r.shape != (self.ambient_dim,):
+                from .errors import DimensionMismatch
 
-        r = np.asarray(v, dtype=np.complex128).ravel()
-        if r.shape != (self.ambient_dim,):
-            raise DimensionMismatch(
-                f"vector of length {r.size} in ambient dim {self.ambient_dim}")
-        scale = np.linalg.norm(r)
+                raise DimensionMismatch(
+                    f"vector of length {r.size} in ambient dim {self.ambient_dim}")
+            scale, start = np.linalg.norm(r), 0
         if scale == 0.0 or self._dim == self.ambient_dim:
             return False
-        r = self._residual(r)
+        r = self._project(r, start)
         rnorm = np.linalg.norm(r)
         if rnorm <= self.tol * scale:
             return False

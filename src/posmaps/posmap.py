@@ -24,12 +24,14 @@ def vec(m) -> np.ndarray:
 
 
 def unvec(v) -> np.ndarray:
-    """Inverse of vec for square matrices."""
-    arr = np.asarray(v, dtype=np.complex128).ravel()
-    n = round(arr.size ** 0.5)
-    if n * n != arr.size:
-        raise DimensionMismatch(f"length {arr.size} is not a perfect square")
-    return arr.reshape(n, n)
+    """Inverse of vec for square matrices; each row of a 2-d v is one vec."""
+    arr = np.asarray(v, dtype=np.complex128)
+    if arr.ndim != 2:
+        arr = arr.ravel()
+    n = round(arr.shape[-1] ** 0.5)
+    if n * n != arr.shape[-1]:
+        raise DimensionMismatch(f"length {arr.shape[-1]} is not a perfect square")
+    return arr.reshape(arr.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +54,16 @@ class MapRep:
                 f"superop shape {self.superop.shape} for n={self.n}")
 
     def apply(self, x) -> np.ndarray:
-        x = as_cmatrix(x, square=True)
-        if x.shape[0] != self.n:
-            raise DimensionMismatch(f"expected {self.n}x{self.n}, got {x.shape}")
-        return unvec(self.superop @ vec(x))
+        """Phi(X) for an n x n X, or Phi of each matrix of a (k, n, n) stack.
+
+        Each matrix of a stack gets the bits it gets alone: np.matmul makes
+        the same matrix-vector product superop @ vec(X) for every one.
+        """
+        x = as_cmatrix(x, square=True, stack=True)
+        n = self.n
+        if x.shape[-1] != n:
+            raise DimensionMismatch(f"expected {n}x{n}, got {x.shape}")
+        return np.matmul(self.superop, x.reshape(-1, n * n, 1)).reshape(x.shape)
 
 
 def map_from_action(n: int, action, name: str) -> MapRep:

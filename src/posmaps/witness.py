@@ -36,6 +36,7 @@ from .numlin import (
     hermitian_eig,
     make_rng,
     random_unit_vector,
+    row_norms,
 )
 from .posmap import MapRep
 from .antisym import u0
@@ -79,23 +80,38 @@ class SpanReport:
 def kernel_of_state(phi: MapRep, x, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Orthonormal basis (columns) of ker Phi(P_x) for the normalized x.
 
+    x may also be a (k, n) stack of vectors x_i.  The result is then a
+    basis of the direct sum of the kernels, of shape (k n, K): each column
+    is supported on one summand, and the columns come in the order of the
+    x_i.  The stack takes one apply and one batched eigh, and each summand
+    gets the bits its x_i gets alone; one vector is the case k = 1.
+
     Phi(P_x) must pass hermitian_eig's check.  Eigenvalues up to the cut
     tols.kernel * max|eigenvalue| count as zero; one below minus the cut
     raises NonpositiveState, which doubles as a positivity alarm.  The cut
-    scales with Phi, so c Phi has the kernels of Phi for every c > 0.
+    scales with Phi, so c Phi has the kernels of Phi for every c > 0.  A
+    stack is cut summand by summand, and an error names the first failing x_i.
     """
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise BadDimension("x must be a nonzero vector")
-    x = x / nx
-    m = phi.apply(np.outer(x, x.conj()))
-    w, v = hermitian_eig(m)
-    cut = tols.kernel * np.abs(w).max()
-    if w[0] < -cut:
+    xs = np.asarray(x, dtype=np.complex128)
+    where = "x {}: " if xs.ndim == 2 else ""  # an error names x_i of a stack
+    if xs.ndim != 2:
+        xs = xs.reshape(1, -1)
+    nx = row_norms(xs)
+    if not nx.all():
+        raise BadDimension(f"{where.format(np.argmin(nx))}x must be a nonzero vector")
+    xs = xs / nx[:, None]
+    w, v = hermitian_eig(phi.apply(xs[:, :, None] * xs.conj()[:, None, :]))
+    cut = tols.kernel * np.abs(w).max(axis=1)
+    low = w[:, 0] < -cut
+    if low.any():
+        i = int(np.argmax(low))
         raise NonpositiveState(
-            f"Phi(P_x) has eigenvalue {w[0]:.3e} < -{cut:.1e}")
-    return v[:, w <= cut]
+            f"{where.format(i)}Phi(P_x) has eigenvalue {w[i, 0]:.3e} < -{cut[i]:.1e}")
+    owner, col = np.nonzero(w <= cut[:, None])
+    k, n = xs.shape
+    out = np.zeros((k, n, owner.size), dtype=np.complex128)
+    out[owner, :, np.arange(owner.size)] = v[owner, :, col]
+    return out.reshape(k * n, owner.size)
 
 
 def _grid_vectors(n: int):
@@ -111,12 +127,45 @@ def _grid_vectors(n: int):
         yield s * (eye[k] - 1j * eye[l])
 
 
-def _generators(phi: MapRep, kind: str, x: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """One row per kernel vector y of Phi(P_x): kron(x, y) for M, kron(x, xbar, y) for N."""
-    ys = kernel_of_state(phi, x, tols).T
-    w = x if kind == "M" else np.outer(x, x.conj()).ravel()
-    k, n = ys.shape
-    return (w[None, :, None] * ys[:, None, :]).reshape(k, w.size * n)
+def _generators(kind: str, xs: np.ndarray, ker: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows kron(x_i, y) for M, kron(x_i, xbar_i, y) for N, per column of ker.
+
+    ker is kernel_of_state of the stacked samples xs, so its column y is
+    supported on the summand of one x_i; that x_i enters as sampled, not
+    normalized.  Returns the rows in column order and how many each x_i has.
+    """
+    k, n = xs.shape
+    ker = ker.reshape(k, n, -1)
+    cols = np.arange(ker.shape[2])
+    owner = (ker != 0).any(axis=1).argmax(axis=0)
+    w = xs if kind == "M" else (xs[:, :, None] * xs.conj()[:, None, :]).reshape(k, n * n)
+    rows = w[owner][:, :, None] * ker[owner, :, cols][:, None, :]
+    return rows.reshape(cols.size, w.shape[1] * n), np.bincount(owner, minlength=k)
+
+
+def _harvest(phi: MapRep, kind: str, xs: np.ndarray, tols: Tolerances):
+    """(rows, counts, error): the generators of the samples xs and how many each has.
+
+    One stacked kernel_of_state call harvests every sample.  If it raises,
+    the samples are harvested again one at a time up to the first that
+    raises, and that error is returned, not raised: only a sample the
+    estimator reaches may raise.
+    """
+    try:
+        return (*_generators(kind, xs, kernel_of_state(phi, xs, tols)), None)
+    except ToolkitError:
+        pass
+    parts, error = [], None
+    for x in xs:
+        try:
+            parts.append(_generators(kind, x[None], kernel_of_state(phi, x, tols)))
+        except ToolkitError as exc:
+            error = exc
+            break
+    if not parts:
+        return None, (), error
+    rows, counts = zip(*parts)
+    return np.concatenate(rows), np.concatenate(counts), error
 
 
 def kernel_pair_operator(phi: MapRep) -> np.ndarray:
@@ -153,21 +202,17 @@ def _estimate(phi: MapRep, kind: str, budget: int | None, seed: int,
         # so that a window or budget stop lands on the block's last sample;
         # only a full span can stop earlier and leave samples unused.
         size = min(SPAN_BLOCK, SATURATION_WINDOW - misses, budget - used)
-        block, error = [], None
-        for x in itertools.islice(xs, size):
-            try:
-                block.append(_generators(phi, kind, x, tols))
-            except ToolkitError as exc:  # raised only if the loop reaches x
-                error = exc
-                break
-        if block:
-            acc.stage(np.concatenate(block))
-        for gens in block:
+        block = np.array(list(itertools.islice(xs, size)))
+        rows, counts, error = _harvest(phi, kind, block, tols)
+        rows = acc.stage(rows) if len(counts) else ()
+        end = 0
+        for count in counts:
             used += 1
             grew = False
-            for g in gens:
+            for g in rows[end:end + count]:
                 if acc.try_add(g):
                     grew = True
+            end += count
             misses = 0 if grew else misses + 1
             if acc.dim == ambient or misses >= SATURATION_WINDOW:
                 saturated = True

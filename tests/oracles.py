@@ -4,7 +4,8 @@ Each computes something the package already computes, by a second route,
 so that a test can compare the two: the n=4 map through its 2x2-block
 shape, a map applied through its Choi matrix, the eigenphases of an
 antisymmetric unitary, the unitary covariance of the N-dimension, the
-span estimator one candidate at a time, with no staging, the matrix file
+span estimator one candidate at a time, with no staging, the span
+estimator harvesting one sample at a time, the matrix file
 writer one entry at a time, the matrix file reader in one `json.load`, and
 the positivity sampler in one batch.
 """
@@ -33,7 +34,7 @@ from posmaps import (
 )
 from posmaps.antisym import _pair_indices, _select_representative
 from posmaps.numlin import DEFAULT_TOLS, SpanAccumulator, as_cmatrix, random_unit_vector
-from posmaps.witness import SATURATION_WINDOW, _grid_vectors, kernel_of_state
+from posmaps.witness import SATURATION_WINDOW, SPAN_BLOCK, _grid_vectors, kernel_of_state
 
 
 def identity_map(n: int) -> MapRep:
@@ -143,6 +144,47 @@ def sequential_estimate(phi: MapRep, kind: str, budget: int | None = None,
             saturated = True
             break
     return acc.dim, used, saturated
+
+
+def per_sample_estimate(phi: MapRep, kind: str, budget: int | None = None,
+                        seed: int = 0, tols=DEFAULT_TOLS) -> tuple[np.ndarray, int, bool]:
+    """(basis, samples_used, saturated) of the blocked span estimator, harvesting per sample.
+
+    Runs the block loop of the estimator with a k = 1 kernel_of_state call
+    and a generator build for each sample, then stages each block and feeds
+    its rows to try_add in sampling order.  The estimator, which harvests a
+    block with one stacked call, must accumulate this basis bit for bit.
+    """
+    n = phi.n
+    ambient = n * n if kind == "M" else n ** 3
+    if budget is None:
+        budget = 10 * n ** 3
+    rng = make_rng(seed)
+    acc = SpanAccumulator(ambient, tols.rank)
+    xs = itertools.chain(_grid_vectors(n),
+                         (random_unit_vector(rng, n) for _ in itertools.count()))
+    used = 0
+    misses = 0
+    saturated = False
+    while used < budget and not saturated:
+        block = []
+        for x in itertools.islice(xs, min(SPAN_BLOCK, SATURATION_WINDOW - misses,
+                                          budget - used)):
+            ys = kernel_of_state(phi, x, tols).T
+            w = x if kind == "M" else np.outer(x, x.conj()).ravel()
+            block.append((w[None, :, None] * ys[:, None, :]).reshape(len(ys), w.size * n))
+        rows = iter(acc.stage(np.concatenate(block)))
+        for gens in block:
+            used += 1
+            grew = False
+            for g in itertools.islice(rows, len(gens)):
+                if acc.try_add(g):
+                    grew = True
+            misses = 0 if grew else misses + 1
+            if acc.dim == ambient or misses >= SATURATION_WINDOW:
+                saturated = True
+                break
+    return acc.basis, used, saturated
 
 
 def save_matrix_per_entry(path, m) -> None:

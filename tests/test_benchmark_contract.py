@@ -56,6 +56,20 @@ def test_strong_span_certificate_fires_every_required_span(tmp_path):
     assert tracer.counts["numlin.try_add.accepted"] == 60
 
 
+def test_strong_span_kernels_are_two_dimensional(tmp_path):
+    # every Breuer-Hall kernel is span{x, U xbar}, so a stacked harvest
+    # reports 2 kernel vectors per sample; a direct sum of the wrong shape
+    # would break this count, which the traced benchmark reads
+    w = workloads.WORKLOADS["strong-span"](1, str(tmp_path))
+    cert = w.round(0)[0]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        ok, _ = cert.run()
+    assert ok
+    assert tracer.counts["witness.samples_used"] > 0
+    assert tracer.counts["witness.kernel_vectors"] == 2 * tracer.counts["witness.samples_used"]
+
+
 def test_cli_session_round_trips_the_matrix_file(tmp_path):
     w = workloads.WORKLOADS["cli-session"](1, str(tmp_path))
     certs = {cert.label: cert for cert in w.round(0)}

@@ -469,23 +469,16 @@ class TestMapExport:
             "--seed", "5", "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_export_n32_peak_memory(self, tmp_path):
-        # the 1,048,576-entry superop is 16 MB; the export adds about 18 MB
-        # of ru_maxrss to a bare import, where a writer that held every
-        # entry as Python objects and text added 196 MB
-        def peak_mb(code):
-            proc = subprocess.run(
-                [sys.executable, "-c", f"import resource, posmaps\n{code}\n"
-                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"],
-                check=True, capture_output=True, text=True,
-                env={**os.environ,
-                     "PYTHONPATH": str(Path(posmaps.__file__).resolve().parent.parent)})
-            return int(proc.stdout) / 1024
+        # the 1,048,576-entry superop is 16.8 MB, and the export adds about
+        # 17 MB of VmHWM to a warmed-up interpreter, where a writer that held
+        # every entry as Python objects and text added 196 MB of ru_maxrss
         out = tmp_path / "t.json"
-        export = peak_mb("from posmaps.cli import main\n"
-                         "assert main(['map-export', '--map', 'transpose', '--n', "
-                         f"'32', '--out', {str(out)!r}]) == 0")
-        assert export - peak_mb("") < 64
+        grown = rss_growth_mb(TestPeakMemory.WARM, (
+            "assert main(['map-export', '--map', 'transpose', '--n', "
+            f"'32', '--out', {str(out)!r}]) == 0"))
+        assert grown < 64
         assert np.array_equal(load_matrix(out), transpose_map(32).superop)
 
     def test_unwritable_path(self, capsys, tmp_path):

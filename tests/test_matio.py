@@ -154,6 +154,38 @@ def test_load_peak_factors(tmp_path, text, bound):
         assert peak - cli.LOAD_BYTES_PER_CHUNK <= bound * size
 
 
+@pytest.mark.parametrize("text, bad", [
+    # the objects and flat-numbers files of test_load_peak_factors, whose
+    # declared size json.load reports first
+    ('{"rows":1,"cols":1,"data":[%s]}' % ",".join(["{}"] * 2 ** 19), 0),
+    ('{"rows":1,"cols":1,"data":[%s]}' % ",".join(["1.5"] * 2 ** 19), 0),
+], ids=["objects", "flat-numbers"])
+def test_long_malformed_stretch_names_its_entry(tmp_path, text, bad):
+    p = tmp_path / "m.json"
+    p.write_text(text)
+    with pytest.raises(ToolkitError, match=rf"^entry {bad} is not an \[re, im\] pair$"):
+        load_matrix(p)
+
+
+@pytest.mark.parametrize("head, tail", [
+    ([], ["{}"] * 2 ** 19),
+    ([], ['"ab"'] * 2 ** 16),
+    (["[1,2]"] * 10, ["1.5"] * 2 ** 19),
+    # past the first chunk, so the index counts from a later chunk's start
+    (["[1,2]"] * 20000, ["1.5"] * 2 ** 19),
+    # a bad entry before the stretch is the one named
+    (["[1,2]"] * 10 + ["[1,null]"], ["1.5"] * 2 ** 19),
+], ids=["objects", "strings", "after-pairs", "next-chunk", "bad-pair-first"])
+def test_long_malformed_stretch_names_the_entry_json_load_names(head, tail):
+    # a `]`-free stretch longer than a chunk is refused as it is read; the
+    # refusal names the entry that json.load's scan names
+    entries = head + tail
+    old, new = both_loaders('{"rows":1,"cols":%d,"data":[%s]}'
+                            % (len(entries), ",".join(entries)))
+    assert isinstance(old, ToolkitError) and str(old).startswith("entry ")
+    assert str(new) == str(old)
+
+
 def same_values(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and all(
         np.array_equal(getattr(a, part), getattr(b, part))

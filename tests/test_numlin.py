@@ -19,6 +19,7 @@ from posmaps import (
     random_haar_unitary,
     random_unit_vector,
 )
+from posmaps.numlin import row_norms
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -64,6 +65,49 @@ class TestHermitianEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eig(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            hermitian_eig(np.zeros((4, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            hermitian_eig(np.zeros((2, 2, 2, 2)))
+
+    def test_row_norms_are_linalg_norm_bits(self):
+        # the kernel harvest normalizes x, and stage() scales each candidate,
+        # with row_norms where the per-vector loop took np.linalg.norm
+        rng = make_rng(9)
+        s = 1 / np.sqrt(2)
+        for width in (1, 2, 3, 4, 7, 10, 16, 100, 1000):
+            a = rng.standard_normal((20, width)) + 1j * rng.standard_normal((20, width))
+            a[0] = s * (np.eye(width)[0] + 1j * np.eye(width)[-1])
+            assert row_norms(a).tobytes() == np.array(
+                [np.linalg.norm(r) for r in a]).tobytes()
+
+    def test_stack_matches_single_bits(self):
+        rng = make_rng(1)
+        a = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+        m = a + a.conj().transpose(0, 2, 1)
+        w, v = hermitian_eig(m)
+        assert w.shape == (6, 5) and v.shape == (6, 5, 5)
+        for i in range(6):
+            wi, vi = hermitian_eig(m[i])
+            assert w[i].tobytes() == wi.tobytes() and v[i].tobytes() == vi.tobytes()
+
+    @pytest.mark.parametrize("i", [0, 3, 5])
+    def test_stack_error_names_the_matrix(self, i):
+        m = np.stack([np.eye(3, dtype=complex)] * 6)
+        m[i, 0, 1] = 1.0
+        with pytest.raises(NotHermitian, match=f"^matrix {i}: deviation 1.000e[+]00"):
+            hermitian_eig(m)
+        with pytest.raises(NotHermitian, match="^deviation 1.000e[+]00"):
+            hermitian_eig(m[i])
+
+    def test_stack_cut_is_per_matrix(self):
+        # each matrix is cut at 1e-12 * its own max|m_i|, not the stack's
+        m = np.array([[1.0, 1.0], [1.0, 1.0]])
+        ok = m + 0.4e-12j * np.array([[0, 1], [1, 0]])
+        bad = m + 1e-12 * np.array([[0, 1], [-1, 0]])
+        hermitian_eig(np.stack([1e-8 * m, 1e8 * ok]))
+        with pytest.raises(NotHermitian, match="^matrix 1: "):
+            hermitian_eig(np.stack([1e8 * m, 1e-8 * bad]))
 
 
 class TestNullspace:
@@ -253,13 +297,9 @@ class TestSpanAccumulator:
         rng = make_rng(12)
         acc = SpanAccumulator(32)
         rows = np.array([random_unit_vector(rng, 32) for _ in range(8)])
-        acc.stage(rows)
-        for v in rows:
+        for v in acc.stage(rows):
             assert acc.try_add(v) is True
-        acc.stage(np.concatenate([rows, rows[::-1] * 1j]))
-        for v in rows:
-            assert acc.try_add(v) is False
-        for v in rows[::-1] * 1j:
+        for v in acc.stage(np.concatenate([rows, rows[::-1] * 1j])):
             assert acc.try_add(v) is False
         assert acc.dim == 8
 
@@ -312,13 +352,13 @@ class TestStage:
     def test_out_of_order_rows_take_full_projection(self):
         acc, rng = self.filled(16, 6, 1)
         a, b = (random_unit_vector(rng, 16) for _ in range(2))
-        acc.stage(np.array([a, b]))
+        sa, sb = acc.stage(np.array([a, b]))
         # b first: it is not the next staged row, so a's residual must not
         # be used for it
-        assert acc.try_add(b) is True
-        assert acc.try_add(b) is False
-        assert acc.try_add(a) is True
-        assert acc.try_add(a) is False
+        assert acc.try_add(sb) is True
+        assert acc.try_add(sb) is False
+        assert acc.try_add(sa) is True
+        assert acc.try_add(sa) is False
         assert acc.try_add(a + b) is False
         q = acc.basis
         for v in (a, b):
@@ -328,10 +368,27 @@ class TestStage:
     def test_staged_rows_are_copied(self):
         acc, rng = self.filled(16, 6, 2)
         rows = np.array([random_unit_vector(rng, 16) for _ in range(2)])
-        acc.stage(rows)
+        staged = acc.stage(rows)
         rows[0] = acc.basis[2]  # now inside the span; its staged residual is not
         assert acc.try_add(rows[0]) is False
         assert acc.dim == 6
+        assert not np.array_equal(staged[0], rows[0])
+        with pytest.raises(ValueError, match="read-only"):
+            staged[0][0] = 0.0
+
+    def test_equal_vector_is_not_the_staged_row(self):
+        # only the very rows stage() returned skip the staged projection:
+        # an equal copy gets the full one and leaves the staged row next
+        acc, rng = self.filled(16, 6, 4)
+        rows = np.array([random_unit_vector(rng, 16) for _ in range(3)])
+        staged = acc.stage(rows)
+        assert acc.try_add(rows[0].copy()) is True
+        assert acc.try_add(staged[0]) is False
+        assert acc.try_add(staged[1]) is True
+        assert acc.try_add(staged[2]) is True
+        assert acc.dim == 9
+        q = acc.basis
+        assert np.abs(q.conj() @ q.T - np.eye(9)).max() <= 1e-12
 
     def test_staged_matches_unstaged(self):
         rng = make_rng(3)
@@ -339,9 +396,8 @@ class TestStage:
         gen = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
         mix = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
         for block in np.split(np.concatenate([gen @ mix, rng.standard_normal((30, 40))]), 6):
-            a.stage(block)
-            for v in block:
-                assert a.try_add(v) == b.try_add(v)
+            for v, staged in zip(block, a.stage(block)):
+                assert a.try_add(staged) == b.try_add(v)
         assert a.dim == b.dim == 35
         assert np.abs(a.basis.conj() @ a.basis.T - np.eye(35)).max() <= 1e-12
 

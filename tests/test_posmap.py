@@ -57,6 +57,13 @@ class TestVec:
     def test_unvec_rejects_nonsquare_length(self):
         with pytest.raises(DimensionMismatch):
             unvec(np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            unvec(np.zeros((3, 5)))
+
+    def test_unvec_of_rows(self):
+        rng = make_rng(3)
+        a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        assert np.array_equal(unvec(np.array([vec(m) for m in a])), a)
 
 
 class TestMapRep:
@@ -71,6 +78,25 @@ class TestMapRep:
             MapRep(2, np.zeros((3, 4)), "bad")
         with pytest.raises(BadDimension):
             MapRep(0, np.zeros((0, 0)), "bad")
+
+    def test_stack_matches_single_bits(self):
+        # every matrix of a stack gets the bits of superop @ vec(X)
+        rng = make_rng(2)
+        for phi in (transpose_map(3), breuer_hall(random_antisymmetric_unitary(rng, 6))):
+            n = phi.n
+            xs = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+            out = phi.apply(xs)
+            assert out.shape == xs.shape
+            for x, y in zip(xs, out):
+                assert (phi.apply(x).tobytes() == y.tobytes()
+                        == (phi.superop @ vec(x)).tobytes())
+
+    def test_apply_shape_validation(self):
+        phi = transpose_map(3)
+        for bad in (np.zeros((4, 4)), np.zeros((2, 4, 4)), np.zeros((2, 3, 4)),
+                    np.zeros((2, 2, 3, 3)), np.zeros(9)):
+            with pytest.raises(DimensionMismatch):
+                phi.apply(bad)
 
     def test_map_from_action_identity(self):
         phi = map_from_action(3, lambda x: x, "id")

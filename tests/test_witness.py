@@ -35,7 +35,7 @@ from posmaps import witness
 from posmaps.reports import FAIL, INCONCLUSIVE, PASS
 from posmaps.witness import SPAN_BLOCK
 
-from oracles import sequential_estimate, unitary_covariance_check
+from oracles import per_sample_estimate, sequential_estimate, unitary_covariance_check
 
 
 def pair_residual(phi, x, y):
@@ -78,6 +78,61 @@ class TestKernelOfState:
         neg = map_from_action(2, lambda m: -m, "negate")
         with pytest.raises(NonpositiveState):
             kernel_of_state(neg, [1.0, 0.0])
+
+
+def sign_split():
+    # X -> diag(X00 - X11, X00 + X11): PSD image for e0, not for e1
+    return map_from_action(
+        2, lambda m: np.diag([m[0, 0] - m[1, 1], m[0, 0] + m[1, 1]]), "sign_split")
+
+
+class TestStackedKernel:
+    """kernel_of_state of a (k, n) stack is the direct sum of the k kernels."""
+
+    def direct_sum(self, phi, xs):
+        n = phi.n
+        singles = [kernel_of_state(phi, x) for x in xs]
+        out = np.zeros((len(xs) * n, sum(k.shape[1] for k in singles)), dtype=complex)
+        col = 0
+        for i, k in enumerate(singles):
+            out[i * n:(i + 1) * n, col:col + k.shape[1]] = k
+            col += k.shape[1]
+        return out
+
+    @pytest.mark.parametrize("build", [
+        lambda: breuer_hall(random_antisymmetric_unitary(make_rng(3), 6)),
+        lambda: map_from_action(2, lambda m: np.diag(np.diag(m)), "dephasing"),
+        lambda: trace_map(2)], ids=["breuer_hall_6", "dephasing_2", "trace_2"])
+    def test_direct_sum_matches_single_bits(self, build):
+        phi = build()
+        rng = make_rng(8)
+        n = phi.n
+        # grid vectors, an unnormalized one and random ones: the dephasing
+        # kernels are 1-dimensional at e_k and empty elsewhere
+        xs = np.array([np.eye(n)[0], np.eye(n)[1] / np.sqrt(2) + np.eye(n)[0] / np.sqrt(2),
+                       3 * np.eye(n)[1]] + [random_unit_vector(rng, n) for _ in range(4)])
+        ker, expected = kernel_of_state(phi, xs), self.direct_sum(phi, xs)
+        assert ker.shape == expected.shape and ker.tobytes() == expected.tobytes()
+        assert kernel_of_state(phi, xs[:1]).tobytes() == kernel_of_state(phi, xs[0]).tobytes()
+
+    @pytest.mark.parametrize("i", [0, 2, 3])
+    def test_error_names_the_summand(self, i):
+        e0, e1 = np.eye(2)
+        xs = np.array([e0, e0, e0, e0])
+        xs[i] = e1
+        with pytest.raises(NonpositiveState) as single:
+            kernel_of_state(sign_split(), e1)
+        with pytest.raises(NonpositiveState) as stacked:
+            kernel_of_state(sign_split(), xs)
+        assert str(stacked.value) == f"x {i}: {single.value}"
+        xs[i] = 0.0
+        with pytest.raises(BadDimension, match=f"^x {i}: x must be a nonzero vector"):
+            kernel_of_state(sign_split(), xs)
+
+    def test_estimator_raises_at_the_failing_sample(self):
+        # the grid starts e0, e1: e0 is used, then e1 raises
+        with pytest.raises(NonpositiveState, match="^Phi"):
+            estimate_M_dim(sign_split())
 
 
 def skewed_transpose(eps):
@@ -275,19 +330,24 @@ def estimate(phi, kind, **kwargs):
     return (estimate_M_dim if kind == "M" else estimate_N_dim)(phi, **kwargs)
 
 
-def count_kernel_calls(monkeypatch, fail_after=None, error=NonpositiveState):
-    """Count witness.kernel_of_state calls; raise error past fail_after."""
-    calls = []
+def count_kernel_samples(monkeypatch, fail_after=None, error=NonpositiveState):
+    """Count the samples witness.kernel_of_state harvests, one or a stack per call.
+
+    A call that would take the count past fail_after raises error instead,
+    so the sample at that position fails however the estimator groups it.
+    """
+    samples = []
     real = witness.kernel_of_state
 
-    def wrapped(*args, **kwargs):
-        calls.append(1)
-        if fail_after is not None and len(calls) > fail_after:
+    def wrapped(phi, x, tols):
+        k = len(np.atleast_2d(x))
+        if fail_after is not None and len(samples) + k > fail_after:
             raise error("look-ahead sample")
-        return real(*args, **kwargs)
+        samples.extend([1] * k)
+        return real(phi, x, tols)
 
     monkeypatch.setattr(witness, "kernel_of_state", wrapped)
-    return calls
+    return samples
 
 
 def principal_sine(a, b):
@@ -329,9 +389,8 @@ class TestBlockedEstimate:
         staged, plain = SpanAccumulator(216), SpanAccumulator(216)
         for start in range(0, len(samples), SPAN_BLOCK):
             block = [g for gens in samples[start:start + SPAN_BLOCK] for g in gens]
-            staged.stage(np.array(block))
-            for g in block:
-                assert staged.try_add(g) == plain.try_add(g)
+            for g, row in zip(block, staged.stage(np.array(block))):
+                assert staged.try_add(row) == plain.try_add(g)
         assert staged.dim == plain.dim == dn_formula(6)
         assert principal_sine(staged.basis, plain.basis) <= 1e-12
         assert principal_sine(plain.basis, staged.basis) <= 1e-12
@@ -341,25 +400,56 @@ class TestBlockedEstimate:
         # the M span of the n=4 map fills C^16 in the middle of a block, so
         # the estimator has harvested samples it never uses
         phi = robertson_map()
-        calls = count_kernel_calls(monkeypatch)
+        samples = count_kernel_samples(monkeypatch)
         rep = estimate_M_dim(phi)
         assert rep.achieved_dim == rep.ambient_dim and rep.saturated
-        assert rep.samples_used < len(calls) < rep.samples_used + SPAN_BLOCK
-        count_kernel_calls(monkeypatch, fail_after=rep.samples_used, error=error)
+        assert rep.samples_used < len(samples) < rep.samples_used + SPAN_BLOCK
+        count_kernel_samples(monkeypatch, fail_after=rep.samples_used, error=error)
         assert estimate_M_dim(phi).to_dict() == rep.to_dict()
 
     def test_error_at_a_used_sample_is_raised(self, monkeypatch):
         rep = estimate_M_dim(robertson_map())
-        count_kernel_calls(monkeypatch, fail_after=rep.samples_used - 1)
+        count_kernel_samples(monkeypatch, fail_after=rep.samples_used - 1)
         with pytest.raises(NonpositiveState):
             estimate_M_dim(robertson_map())
 
     def test_window_and_budget_stops_harvest_nothing_extra(self, monkeypatch):
         phi = breuer_hall(random_antisymmetric_unitary(make_rng(2), 6))
         for budget in (None, 5, SPAN_BLOCK + 1, 100):
-            calls = count_kernel_calls(monkeypatch)
+            samples = count_kernel_samples(monkeypatch)
             rep = estimate_N_dim(phi, budget=budget, seed=1)
-            assert len(calls) == rep.samples_used
+            assert len(samples) == rep.samples_used
+
+
+def estimator_basis(monkeypatch, phi, kind, **kwargs):
+    """(basis, samples_used, saturated) of the estimator, basis read off its accumulator."""
+    accs = []
+
+    class Recorded(SpanAccumulator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            accs.append(self)
+
+    monkeypatch.setattr(witness, "SpanAccumulator", Recorded)
+    rep = estimate(phi, kind, **kwargs)
+    return accs[0].basis, rep.samples_used, rep.saturated
+
+
+class TestHarvestBits:
+    """The stacked harvest accumulates the per-sample harvest's basis, bit for bit."""
+
+    MAPS = [breuer_hall(random_antisymmetric_unitary(make_rng(n), n)) for n in (4, 6, 8)]
+    MAPS += [robertson_map(), reduction_map(3), transpose_map(3), trace_map(2)]
+
+    @pytest.mark.parametrize("kind", ["M", "N"])
+    @pytest.mark.parametrize("budget", [None, 1, SPAN_BLOCK - 1, SPAN_BLOCK + 1])
+    def test_basis_matches_per_sample_harvest(self, monkeypatch, kind, budget):
+        for phi in self.MAPS:
+            basis, used, saturated = estimator_basis(monkeypatch, phi, kind,
+                                                     budget=budget, seed=4)
+            ref, ref_used, ref_saturated = per_sample_estimate(phi, kind, budget, seed=4)
+            assert basis.shape == ref.shape and basis.tobytes() == ref.tobytes(), phi.name
+            assert (used, saturated) == (ref_used, ref_saturated), phi.name
 
 
 class TestFamilies:
@@ -439,8 +529,9 @@ class TestAPrioriBound:
     def test_whole_space_kernel_raises(self, monkeypatch):
         # a kernel harvest that returns all of C^n spans n^3 > n^3 - rank L
         phi = breuer_hall(random_antisymmetric_unitary(make_rng(2), 4))
+        # the direct sum of C^n over the k stacked samples is C^(k n)
         monkeypatch.setattr(witness, "kernel_of_state",
-                            lambda phi, x, tols: np.eye(phi.n, dtype=complex))
+                            lambda phi, x, tols: np.eye(np.size(x), dtype=complex))
         with pytest.raises(InconsistentResult, match="above its bound"):
             estimate_N_dim(phi, seed=0)
         assert estimate_M_dim(phi, seed=0).achieved_dim == 16
